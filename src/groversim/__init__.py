@@ -2,7 +2,6 @@
 
 from .factorization import (
     CurvePoint,
-    FactorProblem,
     FactorResult,
     MultipleSolutionsError,
     NoSolutionError,
@@ -15,18 +14,15 @@ from .grover import (
     GroverAngles,
     GroverInstance,
     OptimalIterations,
-    TwoDState,
     closed_form_state,
     diffusion,
     grover_angles,
     grover_operator,
-    initial_plane_state,
     max_t_in_period,
     monotonic_decrease_range,
     monotonic_increase_range,
     optimal_iterations,
     oracle,
-    rotation_step_2d,
     state_after_iterations,
     success_probability,
     tau_perp,
@@ -34,29 +30,19 @@ from .grover import (
 )
 from .linalg import (
     DimensionMismatchError,
-    hermitian_conjugate,
     is_unitary,
     matmul,
-    matrix_list_gen,
-    matrix_pow,
-    matvec,
     tensor_product_list,
-    unitary_columns_orthonormal,
 )
 from .states import (
-    NonUnitaryOperatorError,
     NormalizationError,
     QState,
     basis_state,
-    evolve,
     hadamard,
     make_qstate,
     measurement_probability,
-    n_hadamard,
     projector,
-    projector_completeness,
     sample_measurement,
-    zero_state,
 )
 from .verification import (
     CHECK_IDS,

@@ -14,7 +14,7 @@ import sys
 import click
 
 from .factorization import (
-    FactorProblem,
+    MODULUS_LIMIT,
     MultipleSolutionsError,
     NoSolutionError,
     curve_to_csv,
@@ -40,6 +40,16 @@ def _fmt(x: float) -> str:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise click.UsageError(message)
+
+
+def _histogram_csv(histogram) -> str:
+    lines = ["outcome,count"]
+    lines.extend(f"{k},{v}" for k, v in sorted(histogram.items()))
+    return "\n".join(lines) + "\n"
+
+
+def _histogram_json(histogram) -> dict[str, int]:
+    return {str(k): v for k, v in sorted(histogram.items())}
 
 
 def _print_table(rows: list[tuple[str, str]]) -> None:
@@ -74,8 +84,7 @@ def cli() -> None:
 def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None:
     """Simulate t iterations and report simulated vs closed-form success probability.
 
-    The dense-matrix path is used up to GROVER_DENSE_CAP qubits (default 6),
-    the O(2^n) vector kernel beyond.
+    Every qubit count runs the O(2^n)-per-iteration vector kernel.
     """
     _require(1 <= n_qubits <= KERNEL_QUBIT_CAP, f"--n must be in 1..{KERNEL_QUBIT_CAP}")
     _require(1 <= target <= 2**n_qubits, f"--target must be in 1..{2 ** n_qubits}")
@@ -104,7 +113,7 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
         if histogram is not None:
             payload["seed"] = seed
             payload["shots"] = shots
-            payload["histogram"] = {str(k): v for k, v in sorted(histogram.items())}
+            payload["histogram"] = _histogram_json(histogram)
         click.echo(json.dumps(payload, indent=2))
     else:
         _print_table(
@@ -115,15 +124,11 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
             ]
         )
     if histogram is not None and output is not None:
-        lines = ["outcome,count"]
-        lines.extend(f"{k},{v}" for k, v in sorted(histogram.items()))
-        _write_text(output, "\n".join(lines) + "\n")
+        _write_text(output, _histogram_csv(histogram))
         if not as_json:
             click.echo(f"histogram written to {output}")
     elif histogram is not None and output is None and not as_json:
-        click.echo("outcome,count")
-        for k, v in sorted(histogram.items()):
-            click.echo(f"{k},{v}")
+        click.echo(_histogram_csv(histogram), nl=False)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -206,16 +211,19 @@ def factor(modulus, seed, shots, as_json) -> None:
     (unique) divisor or the sampled outcome fails the divisibility check.
     """
     _require(modulus >= 6, "--m must be at least 6")
+    _require(
+        modulus < MODULUS_LIMIT,
+        f"--m must be below 2**{2 * KERNEL_QUBIT_CAP} ({KERNEL_QUBIT_CAP} qubits)",
+    )
     _require(shots >= 1, "--shots must be at least 1")
     try:
-        prob = FactorProblem.from_modulus(modulus)
+        result = run_factor_search(modulus, seed, shots)
     except (NoSolutionError, MultipleSolutionsError) as exc:
         if as_json:
             click.echo(json.dumps({"m": modulus, "error": str(exc)}, indent=2))
         click.echo(str(exc), err=True)
         sys.exit(2)
 
-    result = run_factor_search(prob, seed, shots)
     if as_json:
         click.echo(
             json.dumps(
@@ -229,7 +237,7 @@ def factor(modulus, seed, shots, as_json) -> None:
                     "modal_candidate": result.modal_candidate,
                     "shots": result.shots,
                     "seed": result.seed,
-                    "histogram": {str(k): v for k, v in result.histogram.items()},
+                    "histogram": _histogram_json(result.histogram),
                 },
                 indent=2,
             )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .grover import (
+    KERNEL_QUBIT_CAP,
     GroverInstance,
     grover_angles,
     max_t_in_period,
@@ -26,6 +27,11 @@ from .grover import (
     success_probability,
 )
 from .states import basis_state, measurement_probability, sample_measurement
+
+
+#: Smallest modulus whose candidate range [2, floor(sqrt(m))] needs more than
+#: ``KERNEL_QUBIT_CAP`` qubits.
+MODULUS_LIMIT = 1 << (2 * KERNEL_QUBIT_CAP)
 
 
 class NoSolutionError(ValueError):
@@ -55,10 +61,17 @@ def build_factor_instance(m: int) -> GroverInstance:
 
     Raises :class:`NoSolutionError` when no divisor lies in
     [2, floor(sqrt(m))] and :class:`MultipleSolutionsError` when more than
-    one does.
+    one does.  Moduli from ``MODULUS_LIMIT`` up, whose candidate range needs
+    more than ``KERNEL_QUBIT_CAP`` qubits, raise ValueError before the
+    divisor scan.
     """
     if m < 6:
         raise ValueError("modulus must be at least 6")
+    if m >= MODULUS_LIMIT:
+        raise ValueError(
+            f"modulus must be below 2**{2 * KERNEL_QUBIT_CAP}: larger ones need "
+            f"more than {KERNEL_QUBIT_CAP} qubits"
+        )
     marked = _divisors_in_range(m)
     if not marked:
         raise NoSolutionError(f"{m} has no divisor in [2, {math.isqrt(m)}]")
@@ -69,18 +82,6 @@ def build_factor_instance(m: int) -> GroverInstance:
         )
     divisor = marked[0]
     return GroverInstance(n_qubits=_qubits_for(m), target=divisor + 1)
-
-
-@dataclass(frozen=True)
-class FactorProblem:
-    """A modulus to factor plus the qubit count sized to its candidate range."""
-
-    m: int
-    n_qubits: int
-
-    @classmethod
-    def from_modulus(cls, m: int) -> FactorProblem:
-        return cls(m=m, n_qubits=build_factor_instance(m).n_qubits)
 
 
 @dataclass(frozen=True)
@@ -107,22 +108,23 @@ class FactorResult:
         return self.factor_found is not None
 
 
-def run_factor_search(prob: FactorProblem, seed: int, shots: int) -> FactorResult:
+def run_factor_search(m: int, seed: int, shots: int) -> FactorResult:
     """Amplify, sample, take the modal outcome and verify it classically.
 
     The iteration count is the better of floor/ceil of pi/(4 theta) - 1/2.
     Modal ties break toward the smaller basis label so results stay
     deterministic per (seed, shots).  A modal outcome that is not a divisor
-    yields a failed result, not an exception.
+    yields a failed result, not an exception; a modulus that
+    :func:`build_factor_instance` rejects raises its error.
     """
-    inst = build_factor_instance(prob.m)
+    inst = build_factor_instance(m)
     opt = optimal_iterations(grover_angles(inst.n_states))
     state = state_after_iterations(inst, opt.t_best)
     histogram = sample_measurement(state, seed, shots)
     modal_label, modal_count = max(histogram.items(), key=lambda kv: (kv[1], -kv[0]))
     candidate = modal_label - 1
-    if 2 <= candidate < prob.m and prob.m % candidate == 0:
-        factor, cofactor = candidate, prob.m // candidate
+    if 2 <= candidate < m and m % candidate == 0:
+        factor, cofactor = candidate, m // candidate
     else:
         factor, cofactor = None, None
     return FactorResult(

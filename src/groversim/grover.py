@@ -1,11 +1,12 @@
-"""Grover operators, full simulation, closed-form dynamics and iteration analytics.
+"""Grover operators, simulation, closed-form dynamics and iteration analytics.
 
-Two simulation paths implement the same dynamics and must agree wherever both
-run: an explicit dense-matrix path (operator product, matrix power, matrix
-apply) for small qubit counts, and an O(2^n)-per-iteration vector kernel
-(sign flip at the target, then inversion about the mean) that scales to about
-24 qubits.  ``state_after_iterations`` picks the path automatically based on
-the dense cap, which the ``GROVER_DENSE_CAP`` environment variable overrides.
+The operators are built literally as dense matrices (oracle, diffusion and
+the Grover step G = D U_f) so that the paper's claims about them can be
+checked.  Simulation does not use them: ``state_after_iterations`` runs an
+O(2^n)-per-iteration vector kernel (sign flip at the target, then inversion
+about the mean) at every qubit count up to ``KERNEL_QUBIT_CAP``.  The tests
+and the verification harness check the kernel against G^t applied to the
+uniform superposition and against the closed form.
 
 All angles derive from theta = arcsin(1/sqrt(N)) for a search space of size
 N = 2^n; the success probability after t iterations is sin^2((2t+1) theta).
@@ -14,18 +15,14 @@ N = 2^n; the success probability after t iterations is sin^2((2t+1) theta).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import matmul, matrix_pow
-from .states import QState, basis_state, evolve, make_qstate, n_hadamard, zero_state
+from .linalg import matmul
+from .states import QState, basis_state, make_qstate
 
-#: Default qubit ceiling for the dense-matrix simulation path.
-DEFAULT_DENSE_CAP = 6
-
-#: Qubit ceiling for the vector kernel (memory-bound, not enforced here).
+#: Qubit ceiling for the vector kernel (memory-bound, enforced by the CLI).
 KERNEL_QUBIT_CAP = 24
 
 # |t_real - round(t_real)| below this snaps to the integer: realizes the
@@ -130,22 +127,6 @@ def uniform_superposition(n_qubits: int) -> QState:
     return make_qstate(np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
 
-def dense_matrix_cap() -> int:
-    """Qubit ceiling for the dense-matrix path (GROVER_DENSE_CAP overrides)."""
-    raw = os.environ.get("GROVER_DENSE_CAP")
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("GROVER_DENSE_CAP must be at least 1")
-    return cap
-
-
-def _simulate_matrix(inst: GroverInstance, t: int) -> QState:
-    start = evolve(n_hadamard(inst.n_qubits), zero_state(inst.n_qubits))
-    return evolve(matrix_pow(grover_operator(inst), t), start)
-
-
 def _simulate_kernel(inst: GroverInstance, t: int) -> QState:
     amps = np.full(inst.n_states, 1.0 / math.sqrt(inst.n_states))
     flip = inst.target - 1
@@ -155,23 +136,15 @@ def _simulate_kernel(inst: GroverInstance, t: int) -> QState:
     return make_qstate(amps.astype(np.complex128))
 
 
-def state_after_iterations(inst: GroverInstance, t: int, method: str = "auto") -> QState:
+def state_after_iterations(inst: GroverInstance, t: int) -> QState:
     """State after ``t`` Grover steps applied to the uniform superposition.
 
-    ``method`` selects the implementation: ``"matrix"`` builds the operator
-    G = D U_f explicitly and applies its t-th power; ``"kernel"`` updates the
-    amplitude vector in place per iteration.  ``"auto"`` uses the matrix path
-    up to :func:`dense_matrix_cap` qubits and the kernel beyond.
+    Each step of the vector kernel flips the sign of the target amplitude,
+    then reflects every amplitude about the mean: O(2^n) per iteration.
     """
     if t < 0:
         raise ValueError("iteration count must be non-negative")
-    if method == "auto":
-        method = "matrix" if inst.n_qubits <= dense_matrix_cap() else "kernel"
-    if method == "matrix":
-        return _simulate_matrix(inst, t)
-    if method == "kernel":
-        return _simulate_kernel(inst, t)
-    raise ValueError(f"unknown simulation method {method!r}")
+    return _simulate_kernel(inst, t)
 
 
 def closed_form_state(inst: GroverInstance, t: int) -> QState:
@@ -179,7 +152,7 @@ def closed_form_state(inst: GroverInstance, t: int) -> QState:
 
     Built directly from the angle formula, phase-exact (not merely equal up
     to a global phase): this is the analytic counterpart the simulation
-    paths are checked against.
+    is checked against.
     """
     if t < 0:
         raise ValueError("iteration count must be non-negative")
@@ -189,37 +162,6 @@ def closed_form_state(inst: GroverInstance, t: int) -> QState:
         + math.sin(phase) * basis_state(inst.n_qubits, inst.target).amplitudes
     )
     return make_qstate(v)
-
-
-@dataclass(frozen=True)
-class TwoDState:
-    """Coordinates in the {|tau_perp>, |tau>} plane spanned by the dynamics."""
-
-    c_perp: float
-    c_tau: float
-
-    def __post_init__(self) -> None:
-        if abs(self.c_perp**2 + self.c_tau**2 - 1.0) > 1e-10:
-            raise ValueError("plane coordinates must lie on the unit circle")
-
-
-def initial_plane_state(angles: GroverAngles) -> TwoDState:
-    """The uniform superposition in plane coordinates: (cos theta, sin theta)."""
-    return TwoDState(math.cos(angles.theta), math.sin(angles.theta))
-
-
-def rotation_step_2d(s: TwoDState, angles: GroverAngles) -> TwoDState:
-    """One Grover step as the 2x2 rotation by 2 theta in the plane.
-
-    Starting from (cos theta, sin theta), t applications land on
-    (cos((2t+1) theta), sin((2t+1) theta)).
-    """
-    c = math.cos(2.0 * angles.theta)
-    s2 = math.sin(2.0 * angles.theta)
-    return TwoDState(
-        c_perp=c * s.c_perp - s2 * s.c_tau,
-        c_tau=s2 * s.c_perp + c * s.c_tau,
-    )
 
 
 def success_probability(angles: GroverAngles, t: int) -> float:

@@ -11,7 +11,7 @@ everywhere, and shape mismatches raise :class:`DimensionMismatchError`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -47,11 +47,6 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
-def hermitian_conjugate(a) -> np.ndarray:
-    """Conjugate transpose: result[i, j] = conj(a[j, i])."""
-    return as_matrix(a).conj().T.copy()
-
-
 def matmul(a, b) -> np.ndarray:
     """Matrix product of two equal-dimension square matrices."""
     a = as_matrix(a)
@@ -61,17 +56,6 @@ def matmul(a, b) -> np.ndarray:
             f"cannot multiply {a.shape[0]}-dim by {b.shape[0]}-dim matrix"
         )
     return a @ b
-
-
-def matvec(a, v) -> np.ndarray:
-    """Matrix-vector product: result[i] = sum_j a[i, j] * v[j]."""
-    a = as_matrix(a)
-    v = as_vector(v)
-    if a.shape[1] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot apply {a.shape[0]}-dim matrix to {v.shape[0]}-dim vector"
-        )
-    return a @ v
 
 
 def unitarity_residual(a) -> float:
@@ -94,13 +78,6 @@ def column_orthonormality_residual(a) -> float:
     u = as_matrix(a)
     gram = np.einsum("ix,iy->xy", u, u.conj())
     return float(np.abs(gram - np.eye(u.shape[0])).max())
-
-
-def unitary_columns_orthonormal(a, tol: float = DEFAULT_UNITARY_TOL) -> bool:
-    """True iff the columns of ``a`` are pairwise orthonormal within ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return column_orthonormality_residual(a) < tol
 
 
 def tensor_product_list(ms: Sequence[np.ndarray]) -> np.ndarray:
@@ -133,32 +110,4 @@ def tensor_product_list(ms: Sequence[np.ndarray]) -> np.ndarray:
     for level in range(k):
         bits = bits_per_level[level]
         out *= mats[k - 1 - level][np.ix_(bits, bits)]
-    return out
-
-
-def matrix_list_gen(f: Callable[[int], np.ndarray], n: int) -> list[np.ndarray]:
-    """The list [f(0), f(1), ..., f(n-1)] of 2x2 matrices.
-
-    ``n`` must be at least 1; an empty list would be useless downstream since
-    :func:`tensor_product_list` rejects it.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    mats = []
-    for k in range(n):
-        m = as_matrix(f(k))
-        if m.shape != (2, 2):
-            raise ValueError(f"generator returned a non-2x2 matrix at position {k}")
-        mats.append(m)
-    return mats
-
-
-def matrix_pow(a, t: int) -> np.ndarray:
-    """``a**t`` by repeated left multiplication; ``a**0`` is the identity."""
-    m = as_matrix(a)
-    if t < 0:
-        raise ValueError("exponent must be non-negative")
-    out = np.eye(m.shape[0], dtype=np.complex128)
-    for _ in range(t):
-        out = m @ out
     return out

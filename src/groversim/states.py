@@ -1,4 +1,4 @@
-"""Quantum states, gates, evolution, projectors and measurement.
+"""Quantum states, the Hadamard gate, projectors and measurement.
 
 A :class:`QState` wraps a read-only complex amplitude vector of dimension
 ``2**n`` that must have unit squared norm; construction rejects anything
@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_UNITARY_TOL,
-    DimensionMismatchError,
-    as_matrix,
-    as_vector,
-    is_unitary,
-    matrix_list_gen,
-    tensor_product_list,
-)
+from .linalg import DimensionMismatchError, as_vector
 
 #: Tolerance on |norm^2 - 1| accepted by the QState constructor.
 NORM_TOL = 1e-10
@@ -31,10 +23,6 @@ NORM_TOL = 1e-10
 
 class NormalizationError(ValueError):
     """Vector does not have unit squared norm."""
-
-
-class NonUnitaryOperatorError(ValueError):
-    """Operator fails the unitarity check required for state evolution."""
 
 
 def _n_qubits_for_dim(dim: int) -> int:
@@ -76,15 +64,6 @@ def make_qstate(v) -> QState:
     return QState(n_qubits=n, amplitudes=amps)
 
 
-def zero_state(n_qubits: int) -> QState:
-    """The all-zeros basis state |0...0> (amplitude 1 at basis label 1)."""
-    if n_qubits < 1:
-        raise ValueError("qubit count must be at least 1")
-    v = np.zeros(1 << n_qubits, dtype=np.complex128)
-    v[0] = 1.0
-    return make_qstate(v)
-
-
 def basis_state(n_qubits: int, label: int) -> QState:
     """Computational basis state for a 1-based basis label in 1 .. 2^n."""
     dim = 1 << n_qubits
@@ -101,31 +80,6 @@ def hadamard() -> np.ndarray:
     return np.array([[h, h], [h, -h]], dtype=np.complex128)
 
 
-def n_hadamard(n_qubits: int) -> np.ndarray:
-    """The n-fold tensor power H (x) ... (x) H; every entry is +-(1/sqrt 2)^n."""
-    if n_qubits < 1:
-        raise ValueError("qubit count must be at least 1")
-    return tensor_product_list(matrix_list_gen(lambda _k: hadamard(), n_qubits))
-
-
-def evolve(operator, q: QState, tol: float = DEFAULT_UNITARY_TOL) -> QState:
-    """Apply a unitary operator to a state and revalidate the result.
-
-    Raises :class:`NonUnitaryOperatorError` when the operator fails the
-    unitarity residual check at ``tol``: only unitary evolution is legal.
-    """
-    op = as_matrix(operator)
-    if op.shape[0] != q.dim:
-        raise DimensionMismatchError(
-            f"operator dim {op.shape[0]} does not match state dim {q.dim}"
-        )
-    if not is_unitary(op, tol):
-        raise NonUnitaryOperatorError(
-            f"operator is not unitary within {tol}; evolution would be illegal"
-        )
-    return make_qstate(op @ q.amplitudes)
-
-
 def projector(q: QState) -> np.ndarray:
     """Outer product |q><q|: entry (i, j) = q[i] * conj(q[j])."""
     v = q.amplitudes
@@ -139,18 +93,6 @@ def completeness_residual(n_qubits: int) -> float:
     for label in range(1, dim + 1):
         acc += projector(basis_state(n_qubits, label))
     return float(np.abs(acc - np.eye(dim)).max())
-
-
-def projector_completeness(n_qubits: int, tol: float = 1e-10) -> bool:
-    """True iff the 2^n basis projectors sum to the identity within ``tol``.
-
-    Dense check; capped at 10 qubits.
-    """
-    if n_qubits < 1:
-        raise ValueError("qubit count must be at least 1")
-    if n_qubits > 10:
-        raise ValueError("dense completeness check is capped at 10 qubits")
-    return completeness_residual(n_qubits) < tol
 
 
 def measurement_probability(x: QState, y: QState) -> float:

@@ -233,13 +233,13 @@ def _check_closed_form(ctx: dict) -> tuple[float, dict]:
         for target in range(1, (1 << n) + 1):
             inst = GroverInstance(n, target)
             g = diffusion_op(n) @ oracle(inst)
-            # same left-multiply recurrence as matrix_pow, applied incrementally
+            # G^t by left multiplication, one factor per t
             g_pow = np.eye(1 << n, dtype=np.complex128)
             for t in range(t_max + 1):
                 closed = closed_form_state(inst, t).amplitudes
                 sim_matrix = g_pow @ start
                 worst = max(worst, float(np.abs(sim_matrix - closed).max()))
-                kernel = state_after_iterations(inst, t, method="kernel").amplitudes
+                kernel = state_after_iterations(inst, t).amplitudes
                 worst = max(worst, float(np.abs(kernel - closed).max()))
                 g_pow = g @ g_pow
     return worst, {

@@ -23,12 +23,12 @@ from groversim.grover import (
     oracle,
     state_after_iterations,
     success_probability,
+    uniform_superposition,
 )
 from groversim.linalg import tensor_product_list, unitarity_residual
 from groversim.states import (
     completeness_residual,
     hadamard,
-    n_hadamard,
     projector,
     random_qstate,
     squared_norm,
@@ -54,15 +54,18 @@ def test_c01_closed_form_equivalence():
     worst = 0.0
     for n in range(2, 7):
         t_ceil = optimal_iterations(grover_angles(1 << n)).t_ceil
+        phi0 = uniform_superposition(n).amplitudes
         for target in range(1, (1 << n) + 1):
             inst = GroverInstance(n, target)
+            g = grover_operator(inst)
             for t in range(0, 2 * t_ceil + 1):
                 closed = closed_form_state(inst, t).amplitudes
-                for method in ("matrix", "kernel"):
-                    sim = state_after_iterations(inst, t, method=method).amplitudes
+                operator = np.linalg.matrix_power(g, t) @ phi0
+                kernel = state_after_iterations(inst, t).amplitudes
+                for sim in (operator, kernel):
                     worst = max(worst, float(np.abs(sim - closed).max()))
     _report(
-        "criterion 1: closed-form equivalence, n=2..6, all targets, both paths",
+        "criterion 1: closed-form equivalence, n=2..6, all targets, operator and kernel",
         worst < 1e-9,
         f"worst residual {worst:.3e} < 1e-9",
         started,
@@ -73,7 +76,7 @@ def test_c02_unitarity_of_all_operators():
     started = time.perf_counter()
     worst = unitarity_residual(hadamard())
     for n in range(1, 7):
-        worst = max(worst, unitarity_residual(n_hadamard(n)))
+        worst = max(worst, unitarity_residual(tensor_product_list([hadamard()] * n)))
         worst = max(worst, unitarity_residual(diffusion(n)))
         for target in range(1, (1 << n) + 1):
             inst = GroverInstance(n, target)

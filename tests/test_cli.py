@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit-status contract."""
 
 import json
+import time
 
 import pytest
 
@@ -175,6 +176,15 @@ class TestFactor:
     def test_small_modulus_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "factor", "--m", "4")
         assert code == 1
+
+    def test_modulus_beyond_the_qubit_cap_is_usage_error(self, capsys):
+        # 2 * 1000000000000037 would need 26 qubits after a 4.5e7-candidate scan
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "factor", "--m", "2000000000000074", "--json")
+        assert code == 1
+        assert out == ""
+        assert "--m must be below 2**48" in err and "Traceback" not in err
+        assert time.perf_counter() - started < 1.0
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "--m", "143", "--seed", "1")

@@ -6,7 +6,6 @@ import pytest
 
 from groversim.factorization import (
     CurvePoint,
-    FactorProblem,
     MultipleSolutionsError,
     NoSolutionError,
     build_factor_instance,
@@ -47,6 +46,12 @@ class TestBuildFactorInstance:
         with pytest.raises(ValueError):
             build_factor_instance(5)
 
+    def test_modulus_beyond_the_qubit_cap_rejected(self):
+        # refused before the divisor scan: scanning [2, 2**31] would take minutes
+        for m in (2**48, 2**62):
+            with pytest.raises(ValueError, match="24 qubits"):
+                build_factor_instance(m)
+
     @pytest.mark.parametrize("m,divisor", [(9, 3), (21, 3), (35, 5), (77, 7), (187, 11)])
     def test_search_space_covers_candidates(self, m, divisor):
         inst = build_factor_instance(m)
@@ -56,8 +61,7 @@ class TestBuildFactorInstance:
 
 class TestRunFactorSearch:
     def test_143_finds_11_and_13(self):
-        prob = FactorProblem.from_modulus(143)
-        result = run_factor_search(prob, seed=1, shots=10_000)
+        result = run_factor_search(143, seed=1, shots=10_000)
         assert result.factor_found == 11
         assert result.cofactor == 13
         assert result.factor_found * result.cofactor == 143
@@ -67,14 +71,14 @@ class TestRunFactorSearch:
         assert abs(result.empirical_frequency - result.p_predicted) < 3.0 * sigma
 
     def test_15_finds_3_and_5_with_certainty(self):
-        result = run_factor_search(FactorProblem.from_modulus(15), seed=2, shots=100)
+        result = run_factor_search(15, seed=2, shots=100)
         assert result.factor_found == 3
         assert result.cofactor == 5
         assert result.p_predicted == 1.0
         assert result.empirical_frequency == 1.0
 
     def test_single_shot_is_filtered_classically(self):
-        result = run_factor_search(FactorProblem.from_modulus(143), seed=9, shots=1)
+        result = run_factor_search(143, seed=9, shots=1)
         assert sum(result.histogram.values()) == 1
         if result.succeeded:
             assert result.factor_found == 11 and result.cofactor == 13
@@ -83,19 +87,18 @@ class TestRunFactorSearch:
 
     def test_product_invariant_across_moduli(self):
         for m in (9, 15, 21, 35, 77, 143, 187):
-            result = run_factor_search(FactorProblem.from_modulus(m), seed=4, shots=4000)
+            result = run_factor_search(m, seed=4, shots=4000)
             if result.succeeded:
                 assert result.factor_found * result.cofactor == m
 
     def test_histogram_is_retained_and_consistent(self):
-        result = run_factor_search(FactorProblem.from_modulus(143), seed=5, shots=2000)
+        result = run_factor_search(143, seed=5, shots=2000)
         assert sum(result.histogram.values()) == 2000
         assert all(1 <= label <= 16 for label in result.histogram)
 
     def test_same_seed_reproduces_the_result(self):
-        prob = FactorProblem.from_modulus(143)
-        a = run_factor_search(prob, seed=6, shots=3000)
-        b = run_factor_search(prob, seed=6, shots=3000)
+        a = run_factor_search(143, seed=6, shots=3000)
+        b = run_factor_search(143, seed=6, shots=3000)
         assert a == b
 
 

@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groversim.grover import (
+    GroverInstance,
+    grover_operator,
+    state_after_iterations,
+    uniform_superposition,
+)
 from groversim.linalg import (
     DimensionMismatchError,
+    as_vector,
     column_orthonormality_residual,
-    hermitian_conjugate,
     is_unitary,
     matmul,
-    matrix_list_gen,
-    matrix_pow,
-    matvec,
     tensor_product_list,
-    unitary_columns_orthonormal,
     unitarity_residual,
 )
-from groversim.states import hadamard
+from groversim.states import basis_state, hadamard
 
 from oracles import kron_fold, naive_matvec, random_2x2, random_structured_unitary
 
@@ -30,30 +32,36 @@ def random_matrix(dim, rng=RNG):
 
 
 class TestHermitianConjugate:
+    """The conjugate transpose inside ``unitarity_residual``."""
+
     def test_pure_imaginary_1x1(self):
-        out = hermitian_conjugate([[1j]])
-        assert np.array_equal(out, np.array([[-1j]]))
+        # unitary only if the adjoint conjugates: a plain transpose gives 1j * 1j = -1
+        assert unitarity_residual([[1j]]) == 0.0
 
     def test_entrywise_definition(self):
         a = random_matrix(5)
-        out = hermitian_conjugate(a)
+        worst = 0.0
         for i in range(5):
             for j in range(5):
-                assert out[i, j] == np.conj(a[j, i])
+                delta = 1.0 if i == j else 0.0
+                adj_a = sum(np.conj(a[k, i]) * a[k, j] for k in range(5))
+                a_adj = sum(a[i, k] * np.conj(a[j, k]) for k in range(5))
+                worst = max(worst, abs(adj_a - delta), abs(a_adj - delta))
+        assert abs(unitarity_residual(a) - worst) < 1e-12 * worst
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
     def test_involution(self, dim, seed):
+        # the worse of A'A - I and AA' - I is the same for A and A'
         a = random_matrix(dim, np.random.default_rng(seed))
-        assert np.array_equal(hermitian_conjugate(hermitian_conjugate(a)), a)
+        assert unitarity_residual(a.conj().T) == pytest.approx(unitarity_residual(a), rel=1e-12)
 
     def test_hadamard_is_self_adjoint(self):
         h = hadamard()
-        assert np.array_equal(hermitian_conjugate(h), h)
+        assert np.array_equal(h.conj().T, h)
 
     def test_identity_is_self_adjoint(self):
-        eye = np.eye(6, dtype=complex)
-        assert np.array_equal(hermitian_conjugate(eye), eye)
+        assert unitarity_residual(np.eye(6, dtype=complex)) == 0.0
 
 
 class TestMatmul:
@@ -90,24 +98,28 @@ class TestMatmul:
 
 
 class TestMatvec:
+    """Column j of ``matmul(a, b)`` is ``a`` applied to column j of ``b``."""
+
     def test_identity(self):
-        v = RNG.standard_normal(8) + 1j * RNG.standard_normal(8)
-        assert np.array_equal(matvec(np.eye(8, dtype=complex), v), v)
+        a = random_matrix(8)
+        assert np.array_equal(matmul(np.eye(8, dtype=complex), a)[:, 3], a[:, 3])
 
     def test_hadamard_first_column(self):
-        out = matvec(hadamard(), [1.0, 0.0])
+        out = matmul(hadamard(), np.eye(2))[:, 0]
         expected = np.array([1.0, 1.0]) / np.sqrt(2.0)
         assert np.array_equal(out, expected.astype(complex))
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 16, 64])
     def test_matches_naive_double_loop(self, dim):
         a = random_matrix(dim)
-        v = RNG.standard_normal(dim) + 1j * RNG.standard_normal(dim)
-        assert np.abs(matvec(a, v) - naive_matvec(a, v)).max() < 1e-13
+        b = random_matrix(dim)
+        got = matmul(a, b)
+        for j in range(dim):
+            assert np.abs(got[:, j] - naive_matvec(a, b[:, j])).max() < 1e-13
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            matvec(np.eye(4), np.ones(3))
+            matmul(np.eye(4), np.ones((3, 3)))
 
 
 class TestUnitarity:
@@ -135,14 +147,14 @@ class TestUnitarity:
 
 class TestColumnOrthonormality:
     def test_hadamard(self):
-        assert unitary_columns_orthonormal(hadamard(), 1e-12)
+        assert column_orthonormality_residual(hadamard()) < 1e-12
 
     def test_identity(self):
-        assert unitary_columns_orthonormal(np.eye(5), 1e-12)
+        assert column_orthonormality_residual(np.eye(5)) < 1e-12
 
     def test_duplicated_columns_fail(self):
         m = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
-        assert not unitary_columns_orthonormal(m, 1e-6)
+        assert not column_orthonormality_residual(m) < 1e-6
         assert column_orthonormality_residual(m) >= 1.0
 
     def test_unitarity_implies_orthonormal_columns(self):
@@ -152,7 +164,7 @@ class TestColumnOrthonormality:
             for _ in range(10):
                 u = random_structured_unitary(n_qubits, rng)
                 assert is_unitary(u, tol)
-                assert unitary_columns_orthonormal(u, 10.0 * tol)
+                assert column_orthonormality_residual(u) < 10.0 * tol
 
 
 class TestTensorProductList:
@@ -190,63 +202,69 @@ class TestTensorProductList:
 
 
 class TestMatrixListGen:
+    """Lists of 2x2 gates handed to ``tensor_product_list``."""
+
     def test_constant_generator(self):
-        h = hadamard()
-        ms = matrix_list_gen(lambda _k: h, 3)
-        assert len(ms) == 3
-        for m in ms:
-            assert np.array_equal(m, h)
+        # every entry of H (x) H (x) H is +-(1/sqrt 2)^3
+        got = tensor_product_list([hadamard()] * 3)
+        assert np.abs(np.abs(got) - 2.0**-1.5).max() < 1e-15
 
     def test_index_dependent_generator(self):
+        # the first factor acts on the most significant bit
         h = hadamard()
         eye = np.eye(2, dtype=complex)
-        ms = matrix_list_gen(lambda k: h if k == 0 else eye, 2)
-        assert np.array_equal(ms[0], h)
-        assert np.array_equal(ms[1], eye)
+        got = tensor_product_list([h, eye])
+        for i in range(4):
+            for j in range(4):
+                assert got[i, j] == h[i >> 1, j >> 1] * eye[i & 1, j & 1]
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            matrix_list_gen(lambda _k: np.eye(2), 0)
+            tensor_product_list([])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_hadamard_tensor_power_matches_oracle(self, n):
-        h = hadamard()
-        got = tensor_product_list(matrix_list_gen(lambda _k: h, n))
-        assert np.abs(got - kron_fold([h] * n)).max() < 1e-14
+        # H^(x)n |0...0> is the uniform superposition the search starts from
+        got = tensor_product_list([hadamard()] * n) @ basis_state(n, 1).amplitudes
+        assert np.abs(got - uniform_superposition(n).amplitudes).max() < 1e-14
 
 
 class TestMatrixPow:
+    """G^t |phi0> for small t, exact at N = 4 where every amplitude is dyadic."""
+
+    INST = GroverInstance(2, 3)
+
     def test_zeroth_power_is_identity(self):
-        a = random_2x2(RNG)
-        assert np.array_equal(matrix_pow(a, 0), np.eye(2))
+        got = state_after_iterations(self.INST, 0).amplitudes
+        assert np.array_equal(got, uniform_superposition(2).amplitudes)
 
     def test_first_power_is_itself(self):
-        a = random_2x2(RNG)
-        assert np.array_equal(matrix_pow(a, 1), a)
+        want = grover_operator(self.INST) @ uniform_superposition(2).amplitudes
+        assert np.array_equal(state_after_iterations(self.INST, 1).amplitudes, want)
 
     def test_square_matches_matmul(self):
-        a = random_2x2(RNG)
-        assert np.array_equal(matrix_pow(a, 2), matmul(a, a))
+        g = grover_operator(self.INST)
+        assert np.array_equal(np.linalg.matrix_power(g, 2), matmul(g, g))
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            matrix_pow(np.eye(2), -1)
+            state_after_iterations(self.INST, -1)
 
 
 class TestValidation:
     def test_nan_entries_rejected(self):
         bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            hermitian_conjugate(bad)
+            unitarity_residual(bad)
 
     def test_inf_entries_rejected(self):
         bad = np.array([1.0, np.inf])
         with pytest.raises(ValueError):
-            matvec(np.eye(2), bad)
+            as_vector(bad)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            hermitian_conjugate(np.ones((2, 3)))
+            unitarity_residual(np.ones((2, 3)))
 
     def test_unitarity_residual_of_hadamard(self):
         assert unitarity_residual(hadamard()) < 1e-15

@@ -1,28 +1,28 @@
-"""Tests for states, gates, evolution, projectors and measurement."""
+"""Tests for states, gates, evolution, projectors and measurement.
+
+Evolution is an operator applied to the amplitudes and re-gated by
+``make_qstate``; |0...0> is ``basis_state(n, 1)``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from groversim.linalg import DimensionMismatchError, is_unitary, matvec
+from groversim.grover import uniform_superposition
+from groversim.linalg import DimensionMismatchError, is_unitary, matmul, tensor_product_list
 from groversim.states import (
-    NonUnitaryOperatorError,
     NormalizationError,
     QState,
     basis_state,
     completeness_residual,
-    evolve,
     hadamard,
     make_qstate,
     measurement_probability,
-    n_hadamard,
     projector,
-    projector_completeness,
     random_qstate,
     sample_measurement,
     squared_norm,
-    zero_state,
 )
 
 from oracles import kron_fold, random_structured_unitary
@@ -77,17 +77,17 @@ class TestMakeQState:
 
 class TestZeroAndBasisStates:
     def test_one_qubit_zero_state(self):
-        assert np.array_equal(zero_state(1).amplitudes, np.array([1.0, 0.0], dtype=complex))
+        assert np.array_equal(basis_state(1, 1).amplitudes, np.array([1.0, 0.0], dtype=complex))
 
     def test_three_qubit_zero_state(self):
-        q = zero_state(3)
+        q = basis_state(3, 1)
         assert q.dim == 8
         assert q.amplitudes[0] == 1.0
         assert np.all(q.amplitudes[1:] == 0.0)
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
-            zero_state(0)
+            basis_state(0, 1)
 
     def test_basis_state_labels_are_one_based(self):
         q = basis_state(2, 3)
@@ -113,33 +113,36 @@ class TestHadamard:
         assert is_unitary(hadamard(), 1e-10)
 
     def test_n_hadamard_single_is_hadamard(self):
-        assert np.array_equal(n_hadamard(1), hadamard())
+        assert np.array_equal(tensor_product_list([hadamard()]), hadamard())
 
     def test_two_qubits_give_uniform_amplitudes(self):
-        q = evolve(n_hadamard(2), zero_state(2))
+        q = make_qstate(tensor_product_list([hadamard()] * 2) @ basis_state(2, 1).amplitudes)
         assert np.abs(q.amplitudes - 0.5).max() < 1e-15
 
     def test_four_qubits_give_uniform_amplitudes(self):
-        q = evolve(n_hadamard(4), zero_state(4))
+        q = make_qstate(tensor_product_list([hadamard()] * 4) @ basis_state(4, 1).amplitudes)
         assert np.abs(q.amplitudes - 0.25).max() < 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_kronecker_oracle(self, n):
-        assert np.abs(n_hadamard(n) - kron_fold([hadamard()] * n)).max() < 1e-14
+        factors = [hadamard()] * n
+        assert np.abs(tensor_product_list(factors) - kron_fold(factors)).max() < 1e-14
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
-            n_hadamard(0)
+            uniform_superposition(0)
 
 
 class TestEvolve:
+    """``make_qstate(U @ q.amplitudes)``: apply an operator, then re-check the norm."""
+
     def test_identity_preserves_state(self):
         q = random_qstate(2, np.random.default_rng(1))
-        out = evolve(np.eye(4, dtype=complex), q)
+        out = make_qstate(np.eye(4, dtype=complex) @ q.amplitudes)
         assert np.array_equal(out.amplitudes, q.amplitudes)
 
     def test_hadamard_on_zero(self):
-        out = evolve(hadamard(), zero_state(1))
+        out = make_qstate(hadamard() @ basis_state(1, 1).amplitudes)
         assert np.abs(out.amplitudes - INV_SQRT2).max() < 1e-15
 
     def test_norm_conserved_for_random_unitaries(self):
@@ -148,21 +151,22 @@ class TestEvolve:
             for _ in range(10):
                 u = random_structured_unitary(n, rng)
                 q = random_qstate(n, rng)
-                out = evolve(u, q)
+                out = make_qstate(u @ q.amplitudes)
                 assert abs(squared_norm(out.amplitudes) - 1.0) < 1e-9
 
     def test_non_unitary_operator_rejected(self):
-        with pytest.raises(NonUnitaryOperatorError):
-            evolve(2.0 * np.eye(2), zero_state(1))
+        # the norm gate refuses what a non-unitary operator makes
+        with pytest.raises(NormalizationError):
+            make_qstate(2.0 * np.eye(2) @ basis_state(1, 1).amplitudes)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            evolve(np.eye(4, dtype=complex), zero_state(1))
+            matmul(np.eye(4, dtype=complex), hadamard())
 
 
 class TestProjector:
     def test_projector_of_zero_state(self):
-        p = projector(zero_state(1))
+        p = projector(basis_state(1, 1))
         assert np.array_equal(p, np.diag([1.0, 0.0]).astype(complex))
 
     def test_self_adjoint(self):
@@ -181,7 +185,7 @@ class TestProjector:
 
     def test_completeness_small(self):
         assert completeness_residual(1) == 0.0
-        assert projector_completeness(4, 1e-10)
+        assert completeness_residual(4) < 1e-10
 
     def test_partial_sum_is_incomplete(self):
         dim = 8
@@ -189,10 +193,6 @@ class TestProjector:
         for label in range(1, dim // 2 + 1):
             acc += projector(basis_state(3, label))
         assert np.abs(acc - np.eye(dim)).max() >= 1.0
-
-    def test_completeness_cap(self):
-        with pytest.raises(ValueError):
-            projector_completeness(11)
 
 
 class TestMeasurementProbability:
@@ -209,14 +209,14 @@ class TestMeasurementProbability:
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            measurement_probability(zero_state(1), zero_state(2))
+            measurement_probability(basis_state(1, 1), basis_state(2, 1))
 
     def test_matches_projector_route(self):
         rng = np.random.default_rng(8)
         for n in (1, 2, 3, 4):
             x = random_qstate(n, rng)
             y = random_qstate(n, rng)
-            projected = matvec(projector(x), y.amplitudes)
+            projected = projector(x) @ y.amplitudes
             assert abs(measurement_probability(x, y) - squared_norm(projected)) < 1e-12
 
     def test_outcome_probabilities_sum_to_one(self):
@@ -232,7 +232,7 @@ class TestMeasurementProbability:
 
 class TestSampling:
     def test_deterministic_state_yields_single_outcome(self):
-        hist = sample_measurement(zero_state(3), rng_seed=123, shots=500)
+        hist = sample_measurement(basis_state(3, 1), rng_seed=123, shots=500)
         assert hist == {1: 500}
 
     def test_uniform_state_concentrates(self):
@@ -251,7 +251,7 @@ class TestSampling:
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
-            sample_measurement(zero_state(1), rng_seed=1, shots=0)
+            sample_measurement(basis_state(1, 1), rng_seed=1, shots=0)
 
 
 def test_random_qstate_is_normalized():
