@@ -8,6 +8,7 @@ significant digits, matching the CSV format.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -25,12 +26,18 @@ from .grover import (
     KERNEL_QUBIT_CAP,
     GroverInstance,
     grover_angles,
+    max_t_in_period,
     optimal_iterations,
     state_after_iterations,
     success_probability,
 )
 from .states import basis_state, measurement_probability, sample_measurement
 from .verification import VerificationConfig, run_all
+
+
+#: Largest ``simulate --t``: one period of p_t at the qubit cap (6433); a larger
+#: t only repeats the curve, at up to hours of kernel time.
+_T_LIMIT = max_t_in_period(grover_angles(2**KERNEL_QUBIT_CAP))
 
 
 def _fmt(x: float) -> str:
@@ -52,10 +59,15 @@ def _histogram_json(histogram) -> dict[str, int]:
     return {str(k): v for k, v in sorted(histogram.items())}
 
 
-def _print_table(rows: list[tuple[str, str]]) -> None:
-    width = max(len(k) for k, _ in rows)
-    for key, value in rows:
-        click.echo(f"{key.ljust(width)}  {value}")
+def _report(inputs: dict, results: dict, as_json: bool, extra: dict | None = None) -> None:
+    """JSON of inputs, results and extra, or a text table of the results alone."""
+    if as_json:
+        click.echo(json.dumps({**inputs, **results, **(extra or {})}, indent=2))
+        return
+    width = max(len(k) for k in results)
+    for key, value in results.items():
+        text = _fmt(value) if isinstance(value, float) else str(value)
+        click.echo(f"{key.ljust(width)}  {text}")
 
 
 @click.group()
@@ -89,6 +101,10 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
     _require(1 <= n_qubits <= KERNEL_QUBIT_CAP, f"--n must be in 1..{KERNEL_QUBIT_CAP}")
     _require(1 <= target <= 2**n_qubits, f"--target must be in 1..{2 ** n_qubits}")
     _require(iterations >= 0, "--t must be non-negative")
+    _require(
+        iterations <= _T_LIMIT,
+        f"--t must be at most {_T_LIMIT} (one period at {KERNEL_QUBIT_CAP} qubits)",
+    )
     _require(shots is None or shots >= 1, "--shots must be at least 1")
     _require(output is None or shots is not None, "--output requires --shots")
 
@@ -98,31 +114,17 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
     p_closed = success_probability(grover_angles(inst.n_states), iterations)
 
     histogram = None
+    extra = None
     if shots is not None:
         histogram = sample_measurement(state, seed, shots)
+        extra = {"seed": seed, "shots": shots, "histogram": _histogram_json(histogram)}
 
-    if as_json:
-        payload = {
-            "n": n_qubits,
-            "target": target,
-            "t": iterations,
-            "p_simulated": p_sim,
-            "p_closed_form": p_closed,
-            "difference": p_sim - p_closed,
-        }
-        if histogram is not None:
-            payload["seed"] = seed
-            payload["shots"] = shots
-            payload["histogram"] = _histogram_json(histogram)
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        _print_table(
-            [
-                ("p_simulated", _fmt(p_sim)),
-                ("p_closed_form", _fmt(p_closed)),
-                ("difference", _fmt(p_sim - p_closed)),
-            ]
-        )
+    _report(
+        {"n": n_qubits, "target": target, "t": iterations},
+        {"p_simulated": p_sim, "p_closed_form": p_closed, "difference": p_sim - p_closed},
+        as_json,
+        extra,
+    )
     if histogram is not None and output is not None:
         _write_text(output, _histogram_csv(histogram))
         if not as_json:
@@ -173,30 +175,7 @@ def optimal(n_qubits, as_json) -> None:
     """Report the real-valued optimum pi/(4 theta) - 1/2 and its floor/ceil candidates."""
     _require(1 <= n_qubits <= 60, "--n must be in 1..60")
     opt = optimal_iterations(grover_angles(2**n_qubits))
-    if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    "n": n_qubits,
-                    "t_real": opt.t_real,
-                    "t_floor": opt.t_floor,
-                    "t_ceil": opt.t_ceil,
-                    "t_best": opt.t_best,
-                    "p_best": opt.p_best,
-                },
-                indent=2,
-            )
-        )
-    else:
-        _print_table(
-            [
-                ("t_real", _fmt(opt.t_real)),
-                ("t_floor", str(opt.t_floor)),
-                ("t_ceil", str(opt.t_ceil)),
-                ("t_best", str(opt.t_best)),
-                ("p_best", _fmt(opt.p_best)),
-            ]
-        )
+    _report({"n": n_qubits}, dataclasses.asdict(opt), as_json)
 
 
 @cli.command()
@@ -224,37 +203,21 @@ def factor(modulus, seed, shots, as_json) -> None:
         click.echo(str(exc), err=True)
         sys.exit(2)
 
-    if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    "m": modulus,
-                    "factor": result.factor_found,
-                    "cofactor": result.cofactor,
-                    "t_used": result.t_used,
-                    "p_predicted": result.p_predicted,
-                    "empirical_frequency": result.empirical_frequency,
-                    "modal_candidate": result.modal_candidate,
-                    "shots": result.shots,
-                    "seed": result.seed,
-                    "histogram": _histogram_json(result.histogram),
-                },
-                indent=2,
-            )
-        )
-    else:
-        _print_table(
-            [
-                ("factor", str(result.factor_found)),
-                ("cofactor", str(result.cofactor)),
-                ("t_used", str(result.t_used)),
-                ("p_predicted", _fmt(result.p_predicted)),
-                ("empirical_frequency", _fmt(result.empirical_frequency)),
-                ("modal_candidate", str(result.modal_candidate)),
-                ("shots", str(result.shots)),
-                ("seed", str(result.seed)),
-            ]
-        )
+    _report(
+        {"m": modulus},
+        {
+            "factor": result.factor_found,
+            "cofactor": result.cofactor,
+            "t_used": result.t_used,
+            "p_predicted": result.p_predicted,
+            "empirical_frequency": result.empirical_frequency,
+            "modal_candidate": result.modal_candidate,
+            "shots": result.shots,
+            "seed": result.seed,
+        },
+        as_json,
+        {"histogram": _histogram_json(result.histogram)},
+    )
     if not result.succeeded:
         click.echo(
             f"modal outcome {result.modal_candidate} does not divide {modulus}; "

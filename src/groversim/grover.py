@@ -58,9 +58,6 @@ class GroverInstance:
     def n_states(self) -> int:
         return 1 << self.n_qubits
 
-    def angles(self) -> GroverAngles:
-        return grover_angles(self.n_states)
-
 
 @dataclass(frozen=True)
 class GroverAngles:
@@ -133,7 +130,7 @@ def _simulate_kernel(inst: GroverInstance, t: int) -> QState:
     for _ in range(t):
         amps[flip] = -amps[flip]
         amps = 2.0 * amps.mean() - amps
-    return make_qstate(amps.astype(np.complex128))
+    return make_qstate(amps)
 
 
 def state_after_iterations(inst: GroverInstance, t: int) -> QState:
@@ -156,7 +153,7 @@ def closed_form_state(inst: GroverInstance, t: int) -> QState:
     """
     if t < 0:
         raise ValueError("iteration count must be non-negative")
-    phase = (2 * t + 1) * inst.angles().theta
+    phase = (2 * t + 1) * grover_angles(inst.n_states).theta
     v = (
         math.cos(phase) * tau_perp(inst).amplitudes
         + math.sin(phase) * basis_state(inst.n_qubits, inst.target).amplitudes

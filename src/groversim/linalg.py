@@ -66,11 +66,9 @@ def unitarity_residual(a) -> float:
     return float(max(np.abs(ud @ u - eye).max(), np.abs(u @ ud - eye).max()))
 
 
-def is_unitary(a, tol: float = DEFAULT_UNITARY_TOL) -> bool:
-    """True iff both U†U and UU† are the identity within ``tol`` (max-norm)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return unitarity_residual(a) < tol
+def is_unitary(a) -> bool:
+    """True iff both U†U and UU† are the identity within ``DEFAULT_UNITARY_TOL`` (max-norm)."""
+    return unitarity_residual(a) < DEFAULT_UNITARY_TOL
 
 
 def column_orthonormality_residual(a) -> float:

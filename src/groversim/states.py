@@ -51,15 +51,14 @@ def squared_norm(v) -> float:
 
 
 def make_qstate(v) -> QState:
-    """Wrap a complex vector as a QState, rejecting non-normalized input."""
-    vec = as_vector(v)
-    n = _n_qubits_for_dim(vec.shape[0])
-    norm2 = squared_norm(vec)
+    """Wrap a private complex copy of a vector as a QState, rejecting non-normalized input."""
+    amps = as_vector(np.array(v, dtype=np.complex128))
+    n = _n_qubits_for_dim(amps.shape[0])
+    norm2 = squared_norm(amps)
     if abs(norm2 - 1.0) > NORM_TOL:
         raise NormalizationError(
             f"squared norm {norm2!r} differs from 1 by more than {NORM_TOL}"
         )
-    amps = np.array(vec, dtype=np.complex128)
     amps.setflags(write=False)
     return QState(n_qubits=n, amplitudes=amps)
 

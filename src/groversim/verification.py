@@ -30,6 +30,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .grover import (
+    GroverAngles,
     GroverInstance,
     closed_form_state,
     diffusion,
@@ -110,57 +111,54 @@ def _random_structured_unitary(n_qubits: int, rng: np.random.Generator) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# check bodies: each returns (worst_residual, params_echo)
+# check bodies: each takes (config, derived seed), returns (worst_residual, params_echo)
 # ---------------------------------------------------------------------------
 
 
-def _check_columns_orthonormal(ctx: dict) -> tuple[float, dict]:
-    rng = np.random.default_rng(ctx["seed"])
-    n_hi = min(ctx["n_max"], 4)
-    samples = ctx.get("samples", 10)
+def _check_columns_orthonormal(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
+    rng = np.random.default_rng(seed)
+    n_hi = min(cfg.n_max, 4)
     worst = 0.0
     for n in range(1, n_hi + 1):
-        for _ in range(samples):
+        for _ in range(10):
             u = _random_structured_unitary(n, rng)
             if not is_unitary(u):
                 continue  # the property is an implication from unitarity
             worst = max(worst, column_orthonormality_residual(u))
-    return worst, {"n_values": list(range(1, n_hi + 1)), "samples": samples}
+    return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 10}
 
 
-def _check_unitary_closure(ctx: dict) -> tuple[float, dict]:
-    rng = np.random.default_rng(ctx["seed"])
-    n_hi = min(ctx["n_max"], 4)
-    samples = ctx.get("samples", 10)
-    diffusion_op = ctx["diffusion_op"]
+def _check_unitary_closure(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
+    rng = np.random.default_rng(seed)
+    n_hi = min(cfg.n_max, 4)
+    diffusion_op = _faulty_diffusion if cfg.inject_fault else diffusion
     worst = 0.0
     for n in range(1, n_hi + 1):
         pool = [_random_structured_unitary(n, rng) for _ in range(3)]
         pool.append(diffusion_op(n))
         pool.append(oracle(GroverInstance(n, int(rng.integers(1, (1 << n) + 1)))))
-        for _ in range(samples):
+        for _ in range(10):
             a = pool[int(rng.integers(0, len(pool)))]
             b = pool[int(rng.integers(0, len(pool)))]
             worst = max(worst, unitarity_residual(matmul(a, b)))
-    return worst, {"n_values": list(range(1, n_hi + 1)), "samples": samples}
+    return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 10}
 
 
-def _check_hadamard_unitary(ctx: dict) -> tuple[float, dict]:
+def _check_hadamard_unitary(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
     return unitarity_residual(hadamard()), {}
 
 
-def _check_norm_conservation(ctx: dict) -> tuple[float, dict]:
-    rng = np.random.default_rng(ctx["seed"])
-    n_hi = min(ctx["n_max"], 8)
-    samples = ctx.get("samples", 25)
+def _check_norm_conservation(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
+    rng = np.random.default_rng(seed)
+    n_hi = min(cfg.n_max, 8)
     worst = 0.0
     for n in range(1, n_hi + 1):
-        for _ in range(samples):
+        for _ in range(25):
             u = _random_structured_unitary(n, rng)
             q = random_qstate(n, rng)
             evolved = u @ q.amplitudes
             worst = max(worst, abs(float(np.real(np.vdot(evolved, evolved))) - 1.0))
-    return worst, {"n_values": list(range(1, n_hi + 1)), "samples": samples}
+    return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 25}
 
 
 def _iter_check_states(n: int, samples: int, rng: np.random.Generator):
@@ -172,42 +170,32 @@ def _iter_check_states(n: int, samples: int, rng: np.random.Generator):
         yield random_qstate(n, rng)
 
 
-def _check_projector_self_adjoint(ctx: dict) -> tuple[float, dict]:
-    rng = np.random.default_rng(ctx["seed"])
-    n_hi = min(ctx["n_max"], 8)
-    samples = ctx.get("samples", 25)
-    worst = 0.0
-    for n in range(1, n_hi + 1):
-        for q in _iter_check_states(n, samples, rng):
-            p = projector(q)
-            worst = max(worst, float(np.abs(p - p.conj().T).max()))
-    return worst, {"n_values": list(range(1, n_hi + 1)), "samples": samples}
+def _projector_law(residual: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """Check body: max-norm of ``residual(|q><q|)`` over basis and random states."""
+
+    def check(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
+        rng = np.random.default_rng(seed)
+        n_hi = min(cfg.n_max, 8)
+        worst = 0.0
+        for n in range(1, n_hi + 1):
+            for q in _iter_check_states(n, 25, rng):
+                worst = max(worst, float(np.abs(residual(projector(q))).max()))
+        return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 25}
+
+    return check
 
 
-def _check_projector_idempotent(ctx: dict) -> tuple[float, dict]:
-    rng = np.random.default_rng(ctx["seed"])
-    n_hi = min(ctx["n_max"], 8)
-    samples = ctx.get("samples", 25)
-    worst = 0.0
-    for n in range(1, n_hi + 1):
-        for q in _iter_check_states(n, samples, rng):
-            p = projector(q)
-            worst = max(worst, float(np.abs(p @ p - p).max()))
-    return worst, {"n_values": list(range(1, n_hi + 1)), "samples": samples}
-
-
-def _check_projector_completeness(ctx: dict) -> tuple[float, dict]:
-    n_hi = min(ctx["n_max"], 8)
+def _check_projector_completeness(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
+    n_hi = min(cfg.n_max, 8)
     worst = 0.0
     for n in range(1, n_hi + 1):
         worst = max(worst, completeness_residual(n))
     return worst, {"n_values": list(range(1, n_hi + 1))}
 
 
-def _check_phase_flip(ctx: dict) -> tuple[float, dict]:
-    rng = np.random.default_rng(ctx["seed"])
-    n_hi = min(ctx["n_max"], 6)
-    samples = ctx.get("samples", 100)
+def _check_phase_flip(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
+    rng = np.random.default_rng(seed)
+    n_hi = min(cfg.n_max, 6)
     worst = 0.0
     for n in range(1, n_hi + 1):
         target = int(rng.integers(1, (1 << n) + 1))
@@ -215,18 +203,17 @@ def _check_phase_flip(ctx: dict) -> tuple[float, dict]:
         u_f = oracle(inst)
         perp = tau_perp(inst).amplitudes
         tau = basis_state(n, target).amplitudes
-        for _ in range(samples):
+        for _ in range(100):
             alpha = float(rng.uniform(0.0, 2.0 * math.pi))
             before = math.cos(alpha) * perp + math.sin(alpha) * tau
             expected = math.cos(alpha) * perp - math.sin(alpha) * tau
             worst = max(worst, float(np.abs(u_f @ before - expected).max()))
-    return worst, {"n_values": list(range(1, n_hi + 1)), "samples": samples}
+    return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 100}
 
 
-def _check_closed_form(ctx: dict) -> tuple[float, dict]:
-    n_lo, n_hi = 2, min(ctx["n_max"], 6)
-    t_max = ctx["t_max"]
-    diffusion_op = ctx["diffusion_op"]
+def _check_closed_form(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
+    n_lo, n_hi = 2, min(cfg.n_max, 6)
+    diffusion_op = _faulty_diffusion if cfg.inject_fault else diffusion
     worst = 0.0
     for n in range(n_lo, n_hi + 1):
         start = uniform_superposition(n).amplitudes
@@ -235,7 +222,7 @@ def _check_closed_form(ctx: dict) -> tuple[float, dict]:
             g = diffusion_op(n) @ oracle(inst)
             # G^t by left multiplication, one factor per t
             g_pow = np.eye(1 << n, dtype=np.complex128)
-            for t in range(t_max + 1):
+            for t in range(cfg.t_max + 1):
                 closed = closed_form_state(inst, t).amplitudes
                 sim_matrix = g_pow @ start
                 worst = max(worst, float(np.abs(sim_matrix - closed).max()))
@@ -245,52 +232,44 @@ def _check_closed_form(ctx: dict) -> tuple[float, dict]:
     return worst, {
         "n_values": list(range(n_lo, n_hi + 1)),
         "targets": "all",
-        "t_range": [0, t_max],
+        "t_range": [0, cfg.t_max],
     }
 
 
-def _check_periodicity(ctx: dict) -> tuple[float, dict]:
-    rng = np.random.default_rng(ctx["seed"])
-    samples = ctx.get("samples", 1000)
-    xs = rng.uniform(0.0, 10.0 * math.pi, samples)
+def _check_periodicity(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, 10.0 * math.pi, 1000)
     worst = float(np.abs(np.sin(xs + math.pi) ** 2 - np.sin(xs) ** 2).max())
-    return worst, {"samples": samples}
+    return worst, {"samples": 1000}
 
 
-def _check_monotonic_increase(ctx: dict) -> tuple[float, dict]:
-    margins = []
-    for n in range(2, ctx["n_max"] + 1):
-        ang = grover_angles(1 << n)
-        for t in monotonic_increase_range(ang):
-            margins.append(
-                success_probability(ang, t + 1) - success_probability(ang, t)
-            )
-    worst = -min(margins, default=1.0)
-    return worst, {"n_values": list(range(2, ctx["n_max"] + 1)), "instances": len(margins)}
+def _monotonic(steps: Callable[[GroverAngles], range], sign: float) -> Callable:
+    """Check body: the worst margin ``sign * (p(t+1) - p(t))`` over ``steps``, negated."""
+
+    def check(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
+        margins = []
+        for n in range(2, cfg.n_max + 1):
+            ang = grover_angles(1 << n)
+            for t in steps(ang):
+                margins.append(
+                    sign * (success_probability(ang, t + 1) - success_probability(ang, t))
+                )
+        worst = -min(margins, default=1.0)
+        return worst, {"n_values": list(range(2, cfg.n_max + 1)), "instances": len(margins)}
+
+    return check
 
 
-def _check_monotonic_decrease(ctx: dict) -> tuple[float, dict]:
-    margins = []
-    for n in range(2, ctx["n_max"] + 1):
-        ang = grover_angles(1 << n)
-        for t in monotonic_decrease_range(ang):
-            margins.append(
-                success_probability(ang, t) - success_probability(ang, t + 1)
-            )
-    worst = -min(margins, default=1.0)
-    return worst, {"n_values": list(range(2, ctx["n_max"] + 1)), "instances": len(margins)}
-
-
-def _check_optimality(ctx: dict) -> tuple[float, dict]:
+def _check_optimality(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
     worst = -1.0
-    for n in range(1, ctx["n_max"] + 1):
+    for n in range(1, cfg.n_max + 1):
         ang = grover_angles(1 << n)
         opt = optimal_iterations(ang)
         p_max = max(
             success_probability(ang, t) for t in range(max_t_in_period(ang) + 1)
         )
         worst = max(worst, p_max - opt.p_best)
-    return worst, {"n_values": list(range(1, ctx["n_max"] + 1))}
+    return worst, {"n_values": list(range(1, cfg.n_max + 1))}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +285,7 @@ class CheckSpec:
     title: str
     statement: str
     tolerance: float
-    runner: Callable[[dict], tuple[float, dict]]
+    runner: Callable[[VerificationConfig, int], tuple[float, dict]]
 
 
 _SPECS = [
@@ -343,14 +322,14 @@ _SPECS = [
         "Projectors are self-adjoint",
         "P = P'",
         1e-12,
-        _check_projector_self_adjoint,
+        _projector_law(lambda p: p - p.conj().T),
     ),
     CheckSpec(
         "T1.14",
         "Projectors are idempotent",
         "P @ P = P",
         1e-12,
-        _check_projector_idempotent,
+        _projector_law(lambda p: p @ p - p),
     ),
     CheckSpec(
         "T1.15",
@@ -385,14 +364,14 @@ _SPECS = [
         "Success probability strictly increases before the optimum",
         "0 < t and t+1 <= pi/(4 th) - 1/2 => p(t) < p(t+1)",
         0.0,
-        _check_monotonic_increase,
+        _monotonic(monotonic_increase_range, 1.0),
     ),
     CheckSpec(
         "T3.3",
         "Success probability strictly decreases after the optimum",
         "pi/(4 th) - 1/2 <= t <= pi/(2 th) - 3/2 => p(t) > p(t+1)",
         0.0,
-        _check_monotonic_decrease,
+        _monotonic(monotonic_decrease_range, -1.0),
     ),
     CheckSpec(
         "T3.4",
@@ -407,44 +386,27 @@ REGISTRY: dict[str, CheckSpec] = {spec.check_id: spec for spec in _SPECS}
 CHECK_IDS: tuple[str, ...] = tuple(spec.check_id for spec in _SPECS)
 
 
-def run_check(
-    check_id: str,
-    params: Mapping[str, Any] | None = None,
-    config: VerificationConfig | None = None,
-) -> CheckResult:
-    """Run one registered check.
+def run_check(check_id: str, config: VerificationConfig | None = None) -> CheckResult:
+    """Run one registered check on ``config``'s grid.
 
-    ``params`` overrides the grid for this check only; recognized keys are
-    ``n_max``, ``t_max``, ``samples``, ``seed``, ``tolerance`` and
-    ``inject_fault``.  Unknown check ids raise ValueError.
+    Unknown check ids raise ValueError.
     """
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
     spec = REGISTRY[check_id]
     cfg = config if config is not None else VerificationConfig()
-    overrides = dict(params or {})
-
-    tolerance = float(
-        overrides.pop("tolerance", cfg.tolerances.get(check_id, spec.tolerance))
-    )
-    ctx: dict[str, Any] = {
-        "n_max": cfg.n_max,
-        "t_max": cfg.t_max,
-        # derived per check so parallel checks never share a stream
-        "seed": cfg.seed + 1000 * CHECK_IDS.index(check_id),
-        "inject_fault": cfg.inject_fault,
-    }
-    ctx.update(overrides)
-    ctx["diffusion_op"] = _faulty_diffusion if ctx["inject_fault"] else diffusion
+    tolerance = float(cfg.tolerances.get(check_id, spec.tolerance))
+    # derived per check so parallel checks never share a stream
+    seed = cfg.seed + 1000 * CHECK_IDS.index(check_id)
 
     start = time.perf_counter()
     try:
-        worst, echo = spec.runner(ctx)
+        worst, echo = spec.runner(cfg, seed)
     except Exception as exc:  # individual failures are recorded, not thrown
         worst, echo = _ERROR_RESIDUAL, {"error": f"{type(exc).__name__}: {exc}"}
     elapsed_ms = (time.perf_counter() - start) * 1e3
 
-    echo["seed"] = ctx["seed"]
+    echo["seed"] = seed
     echo["tolerance"] = tolerance
     return CheckResult(
         check_id=check_id,

@@ -65,6 +65,15 @@ class TestSimulate:
         assert code == 1
         assert "--shots" in err
 
+    def test_iterations_beyond_one_period_at_the_cap_is_usage_error(self, capsys):
+        # 6433 = max_t_in_period at 24 qubits; --t 1e8 at n=20 used to run for hours
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", "--n", "20", "--target", "1", "--t", "6434")
+        assert code == 1
+        assert out == ""
+        assert "--t must be at most 6433" in err and "Traceback" not in err
+        assert time.perf_counter() - started < 1.0
+
     def test_unknown_option_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--frobnicate")
         assert code == 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groversim.grover import (
     GroverAngles,
@@ -84,7 +86,7 @@ class TestOracle:
 
     def test_unitary(self):
         for n in (1, 2, 4):
-            assert is_unitary(oracle(GroverInstance(n, 1)), 1e-10)
+            assert is_unitary(oracle(GroverInstance(n, 1)))
 
     def test_phase_flip_on_plane_states(self):
         rng = np.random.default_rng(21)
@@ -136,7 +138,7 @@ class TestDiffusion:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_unitary(self, n):
-        assert is_unitary(diffusion(n), 1e-10)
+        assert is_unitary(diffusion(n))
 
     def test_equals_reflection_about_uniform_state(self):
         for n in (1, 2, 3, 5):
@@ -149,12 +151,12 @@ class TestGroverOperator:
     def test_unitary_for_all_targets(self):
         for n in (1, 2, 3, 4):
             for target in range(1, (1 << n) + 1):
-                assert is_unitary(grover_operator(GroverInstance(n, target)), 1e-10)
+                assert is_unitary(grover_operator(GroverInstance(n, target)))
 
     def test_unitary_up_to_eight_qubits(self):
         for n in (5, 6, 7, 8):
             for target in (1, 1 << (n - 1), 1 << n):
-                assert is_unitary(grover_operator(GroverInstance(n, target)), 1e-10)
+                assert is_unitary(grover_operator(GroverInstance(n, target)))
 
     def test_zeroth_power_is_identity(self):
         inst = GroverInstance(3, 2)
@@ -186,6 +188,15 @@ class TestSimulationPaths:
                 for sim in (state_after_iterations(inst, t).amplitudes, operator_state(inst, t)):
                     assert np.abs(sim - closed).max() < 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_kernel_matches_closed_form_over_random_instances(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        inst = GroverInstance(n, data.draw(st.integers(min_value=1, max_value=1 << n)))
+        t = data.draw(st.integers(0, max_t_in_period(grover_angles(inst.n_states))))
+        kernel = state_after_iterations(inst, t).amplitudes
+        assert np.abs(kernel - closed_form_state(inst, t).amplitudes).max() <= 1e-10
+
     def test_paths_agree_with_each_other(self):
         inst = GroverInstance(6, 17)
         for t in (0, 1, 5, 12):
@@ -204,7 +215,7 @@ class TestSimulationPaths:
         # measured 1.3e-12 and 1.3e-14; the make_qstate gate is 1e-10, so a
         # kernel change that loses precision fails here before it hits the gate
         inst = GroverInstance(20, 777_777)
-        t = optimal_iterations(inst.angles()).t_best
+        t = optimal_iterations(grover_angles(inst.n_states)).t_best
         assert t == 804
         amps = state_after_iterations(inst, t).amplitudes
         assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-11
@@ -239,14 +250,14 @@ class TestPlaneRotation:
 
     def test_single_step_triples_the_angle(self):
         inst = GroverInstance(4, 6)
-        theta = inst.angles().theta
+        theta = grover_angles(inst.n_states).theta
         c_perp, c_tau = plane_coordinates(inst, 1)
         assert abs(c_perp - math.cos(3.0 * theta)) < 1e-12
         assert abs(c_tau - math.sin(3.0 * theta)) < 1e-12
 
     def test_many_steps_match_angle_formula(self):
         inst = GroverInstance(6, 40)
-        theta = inst.angles().theta
+        theta = grover_angles(inst.n_states).theta
         for t in range(1, 101):
             c_perp, c_tau = plane_coordinates(inst, t)
             assert abs(c_perp - math.cos((2 * t + 1) * theta)) < 1e-12
@@ -254,7 +265,7 @@ class TestPlaneRotation:
 
     def test_projection_matches_full_simulation(self):
         inst = GroverInstance(3, 6)
-        ang = inst.angles()
+        ang = grover_angles(inst.n_states)
         target = basis_state(3, 6)
         for t in range(0, 6):
             full = state_after_iterations(inst, t)

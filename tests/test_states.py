@@ -110,7 +110,7 @@ class TestHadamard:
         assert h[1, 1] == -INV_SQRT2
 
     def test_unitary(self):
-        assert is_unitary(hadamard(), 1e-10)
+        assert is_unitary(hadamard())
 
     def test_n_hadamard_single_is_hadamard(self):
         assert np.array_equal(tensor_product_list([hadamard()]), hadamard())

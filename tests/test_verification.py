@@ -35,13 +35,13 @@ def test_registry_contains_exactly_the_expected_checks():
 
 
 def test_hadamard_check_passes():
-    result = run_check("T1.9", {})
+    result = run_check("T1.9")
     assert result.passed
     assert result.worst_residual < 1e-10
 
 
 def test_closed_form_check_passes_on_reduced_grid():
-    result = run_check("T2.3", {"n_max": 4, "t_max": 8})
+    result = run_check("T2.3", VerificationConfig(n_max=4, t_max=8))
     assert result.passed
     assert result.worst_residual < 1e-9
     assert result.params["n_values"] == [2, 3, 4]
@@ -49,20 +49,21 @@ def test_closed_form_check_passes_on_reduced_grid():
 
 
 def test_periodicity_check_with_explicit_seed():
-    result = run_check("T3.1", {"samples": 1000, "seed": 7})
+    result = run_check("T3.1", VerificationConfig(seed=7))
     assert result.passed
     assert result.params["samples"] == 1000
-    assert result.params["seed"] == 7
+    # each check derives its own stream from the base seed
+    assert result.params["seed"] == 7 + 1000 * CHECK_IDS.index("T3.1")
 
 
 def test_unknown_check_id_rejected():
     with pytest.raises(ValueError, match="unknown check id"):
-        run_check("T9.9", {})
+        run_check("T9.9")
 
 
 def test_tolerance_override_can_fail_a_passing_check():
     # guards against vacuous checks: an absurd tolerance must flip the verdict
-    result = run_check("T1.9", {"tolerance": 1e-20})
+    result = run_check("T1.9", VerificationConfig(tolerances={"T1.9": 1e-20}))
     assert not result.passed
     assert result.params["tolerance"] == 1e-20
 
