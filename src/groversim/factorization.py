@@ -21,12 +21,13 @@ from .grover import (
     KERNEL_QUBIT_CAP,
     GroverInstance,
     grover_angles,
+    kernel_steps,
     max_t_in_period,
     optimal_iterations,
     state_after_iterations,
     success_probability,
 )
-from .states import basis_state, measurement_probability, sample_measurement
+from .states import basis_state, make_qstate, measurement_probability, sample_measurement
 
 
 #: Smallest modulus whose candidate range [2, floor(sqrt(m))] needs more than
@@ -161,17 +162,15 @@ def probability_curve(inst: GroverInstance, t_max: int | None = None) -> list[Cu
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     target = basis_state(inst.n_qubits, inst.target)
-    rows = []
-    for t in range(t_max + 1):
-        simulated = state_after_iterations(inst, t)
-        rows.append(
-            CurvePoint(
-                t=t,
-                p_simulated=measurement_probability(target, simulated),
-                p_closed_form=success_probability(angles, t),
-            )
+    # range first: zip stops there without drawing one more kernel step
+    return [
+        CurvePoint(
+            t=t,
+            p_simulated=measurement_probability(target, make_qstate(amps)),
+            p_closed_form=success_probability(angles, t),
         )
-    return rows
+        for t, amps in zip(range(t_max + 1), kernel_steps(inst))
+    ]
 
 
 def curve_to_csv(curve: list[CurvePoint]) -> str:

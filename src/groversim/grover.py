@@ -2,37 +2,35 @@
 
 The operators are built literally as dense matrices (oracle, diffusion and
 the Grover step G = D U_f) so that the paper's claims about them can be
-checked.  Simulation does not use them: ``state_after_iterations`` runs an
-O(2^n)-per-iteration vector kernel (sign flip at the target, then inversion
-about the mean) at every qubit count up to ``KERNEL_QUBIT_CAP``.  The tests
-and the verification harness check the kernel against G^t applied to the
-uniform superposition and against the closed form.
+checked.  Simulation does not use them: ``kernel_steps`` is the one stepping
+loop, an O(2^n)-per-step vector kernel (sign flip at the target, then
+inversion about the mean) that yields the amplitudes after every step, at
+every qubit count up to ``KERNEL_QUBIT_CAP``.  ``plane_state`` builds
+cos(a)|tau_perp> + sin(a)|tau>; the closed form is a = (2t+1) theta.
 
 All angles derive from theta = arcsin(1/sqrt(N)) for a search space of size
-N = 2^n; the success probability after t iterations is sin^2((2t+1) theta).
+N = 2^n; the success probability after t iterations is sin^2((2t+1) theta),
+and the optimal iteration count is the integer nearest to pi/(4 theta) - 1/2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import matmul
-from .states import QState, basis_state, make_qstate
+from .states import QState, make_qstate
 
 #: Qubit ceiling for the vector kernel (memory-bound, enforced by the CLI).
 KERNEL_QUBIT_CAP = 24
 
-# |t_real - round(t_real)| below this snaps to the integer: realizes the
-# exactly-integral optimum (N=4 gives t_real = 1) despite double rounding.
+# Rounding slack on t_real: snaps N=4's t_real to exactly 1, and lets the
+# floor win N=2's exact half (t_real = 1/2) despite double rounding.
 _INTEGER_SNAP = 1e-9
-
-# Success probabilities closer than this count as tied; the floor candidate
-# wins a tie.  Safe: the only mathematically exact tie in range (N=2) lands
-# around 7e-16 while the tightest genuine floor/ceil gap (n=24) is 4.4e-9.
-_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,14 +87,6 @@ def oracle(inst: GroverInstance) -> np.ndarray:
     return np.diag(d)
 
 
-def tau_perp(inst: GroverInstance) -> QState:
-    """Normalized uniform superposition of all non-target basis states."""
-    amp = 1.0 / math.sqrt(inst.n_states - 1)
-    v = np.full(inst.n_states, amp, dtype=np.complex128)
-    v[inst.target - 1] = 0.0
-    return make_qstate(v)
-
-
 def diffusion(n_qubits: int) -> np.ndarray:
     """Inversion about the mean: 2|phi0><phi0| - I for the uniform |phi0>.
 
@@ -124,24 +114,42 @@ def uniform_superposition(n_qubits: int) -> QState:
     return make_qstate(np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
 
-def _simulate_kernel(inst: GroverInstance, t: int) -> QState:
+def kernel_steps(inst: GroverInstance) -> Iterator[np.ndarray]:
+    """Real amplitudes after 0, 1, 2, ... Grover steps from the uniform superposition.
+
+    Each step of the vector kernel flips the sign of the target amplitude,
+    then reflects every amplitude about the mean: O(2^n) per step.  A yielded
+    array is valid only until the next one is drawn.
+    """
     amps = np.full(inst.n_states, 1.0 / math.sqrt(inst.n_states))
     flip = inst.target - 1
-    for _ in range(t):
+    while True:
+        yield amps
         amps[flip] = -amps[flip]
         amps = 2.0 * amps.mean() - amps
-    return make_qstate(amps)
+
+
+def _simulate_kernel(inst: GroverInstance, t: int) -> QState:
+    return make_qstate(next(itertools.islice(kernel_steps(inst), t, None)))
 
 
 def state_after_iterations(inst: GroverInstance, t: int) -> QState:
-    """State after ``t`` Grover steps applied to the uniform superposition.
-
-    Each step of the vector kernel flips the sign of the target amplitude,
-    then reflects every amplitude about the mean: O(2^n) per iteration.
-    """
+    """State after ``t`` Grover steps applied to the uniform superposition."""
     if t < 0:
         raise ValueError("iteration count must be non-negative")
     return _simulate_kernel(inst, t)
+
+
+def plane_state(inst: GroverInstance, angle: float) -> QState:
+    """The state cos(angle)|tau_perp> + sin(angle)|tau> of the Grover plane.
+
+    |tau> is the target basis state and |tau_perp> the normalized uniform
+    superposition of all the others, so ``plane_state(inst, 0.0)`` is
+    |tau_perp> itself.
+    """
+    v = np.full(inst.n_states, math.cos(angle) * (1.0 / math.sqrt(inst.n_states - 1)))
+    v[inst.target - 1] = math.sin(angle)
+    return make_qstate(v)
 
 
 def closed_form_state(inst: GroverInstance, t: int) -> QState:
@@ -153,12 +161,7 @@ def closed_form_state(inst: GroverInstance, t: int) -> QState:
     """
     if t < 0:
         raise ValueError("iteration count must be non-negative")
-    phase = (2 * t + 1) * grover_angles(inst.n_states).theta
-    v = (
-        math.cos(phase) * tau_perp(inst).amplitudes
-        + math.sin(phase) * basis_state(inst.n_qubits, inst.target).amplitudes
-    )
-    return make_qstate(v)
+    return plane_state(inst, (2 * t + 1) * grover_angles(inst.n_states).theta)
 
 
 def success_probability(angles: GroverAngles, t: int) -> float:
@@ -191,21 +194,19 @@ def optimal_iterations(angles: GroverAngles) -> OptimalIterations:
     """The two practical iteration counts and the better of them.
 
     t_real = pi/(4 theta) - 1/2 maximizes the success probability over the
-    reals; only its floor (clamped at 0) and ceiling are practical.  The two
-    candidates are compared by success probability; differences within the
-    tie tolerance count as a tie, which the floor wins.
+    reals; only its floor (clamped at 0) and ceiling are practical.  p_t is
+    symmetric about t_real, so the better one is the integer nearest to
+    t_real; at the one exact half (N=2) the snap lets the floor win.  The
+    probabilities themselves are too close to 1 to compare from n = 41 up.
     """
     t_real = _snapped_t_real(angles)
-    t_floor = max(0, math.floor(t_real))
-    t_ceil = max(0, math.ceil(t_real))
-    p_floor = success_probability(angles, t_floor)
-    p_ceil = success_probability(angles, t_ceil)
-    if p_ceil > p_floor + _TIE_TOL:
-        t_best, p_best = t_ceil, p_ceil
-    else:
-        t_best, p_best = t_floor, p_floor
+    t_best = max(0, math.ceil(t_real - 0.5 - _INTEGER_SNAP))
     return OptimalIterations(
-        t_real=t_real, t_floor=t_floor, t_ceil=t_ceil, t_best=t_best, p_best=p_best
+        t_real=t_real,
+        t_floor=max(0, math.floor(t_real)),
+        t_ceil=max(0, math.ceil(t_real)),
+        t_best=t_best,
+        p_best=success_probability(angles, t_best),
     )
 
 

@@ -39,10 +39,6 @@ class QState:
     n_qubits: int
     amplitudes: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
 
 def squared_norm(v) -> float:
     """Squared 2-norm of a complex vector."""

@@ -35,14 +35,14 @@ from .grover import (
     closed_form_state,
     diffusion,
     grover_angles,
+    kernel_steps,
     max_t_in_period,
     monotonic_decrease_range,
     monotonic_increase_range,
     optimal_iterations,
     oracle,
-    state_after_iterations,
+    plane_state,
     success_probability,
-    tau_perp,
     uniform_superposition,
 )
 from .linalg import (
@@ -52,7 +52,9 @@ from .linalg import (
     tensor_product_list,
     unitarity_residual,
 )
-from .states import basis_state, hadamard, projector, completeness_residual, random_qstate
+from .states import (
+    basis_state, completeness_residual, hadamard, make_qstate, projector, random_qstate
+)
 
 # Residual recorded when a check body raises instead of measuring.
 _ERROR_RESIDUAL = 1e300
@@ -201,12 +203,10 @@ def _check_phase_flip(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
         target = int(rng.integers(1, (1 << n) + 1))
         inst = GroverInstance(n, target)
         u_f = oracle(inst)
-        perp = tau_perp(inst).amplitudes
-        tau = basis_state(n, target).amplitudes
         for _ in range(100):
             alpha = float(rng.uniform(0.0, 2.0 * math.pi))
-            before = math.cos(alpha) * perp + math.sin(alpha) * tau
-            expected = math.cos(alpha) * perp - math.sin(alpha) * tau
+            before = plane_state(inst, alpha).amplitudes
+            expected = plane_state(inst, -alpha).amplitudes
             worst = max(worst, float(np.abs(u_f @ before - expected).max()))
     return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 100}
 
@@ -222,11 +222,11 @@ def _check_closed_form(cfg: VerificationConfig, seed: int) -> tuple[float, dict]
             g = diffusion_op(n) @ oracle(inst)
             # G^t by left multiplication, one factor per t
             g_pow = np.eye(1 << n, dtype=np.complex128)
-            for t in range(cfg.t_max + 1):
+            for t, amps in zip(range(cfg.t_max + 1), kernel_steps(inst)):
                 closed = closed_form_state(inst, t).amplitudes
                 sim_matrix = g_pow @ start
                 worst = max(worst, float(np.abs(sim_matrix - closed).max()))
-                kernel = state_after_iterations(inst, t).amplitudes
+                kernel = make_qstate(amps).amplitudes
                 worst = max(worst, float(np.abs(kernel - closed).max()))
                 g_pow = g @ g_pow
     return worst, {

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groversim.factorization import probability_curve
 from groversim.grover import (
     GroverAngles,
     GroverInstance,
@@ -14,14 +15,15 @@ from groversim.grover import (
     diffusion,
     grover_angles,
     grover_operator,
+    kernel_steps,
     max_t_in_period,
     monotonic_decrease_range,
     monotonic_increase_range,
     optimal_iterations,
     oracle,
+    plane_state,
     state_after_iterations,
     success_probability,
-    tau_perp,
     uniform_superposition,
 )
 from groversim.linalg import is_unitary
@@ -94,7 +96,7 @@ class TestOracle:
             target = int(rng.integers(1, (1 << n) + 1))
             inst = GroverInstance(n, target)
             u_f = oracle(inst)
-            perp = tau_perp(inst).amplitudes
+            perp = plane_state(inst, 0.0).amplitudes
             tau = basis_state(n, target).amplitudes
             for _ in range(100):
                 alpha = rng.uniform(0.0, 2.0 * math.pi)
@@ -104,13 +106,16 @@ class TestOracle:
 
 
 class TestTauPerp:
+    """|tau_perp> is the plane state at angle 0."""
+
     def test_single_qubit(self):
         assert np.array_equal(
-            tau_perp(GroverInstance(1, 1)).amplitudes, np.array([0.0, 1.0], dtype=complex)
+            plane_state(GroverInstance(1, 1), 0.0).amplitudes,
+            np.array([0.0, 1.0], dtype=complex),
         )
 
     def test_two_qubits(self):
-        got = tau_perp(GroverInstance(2, 3)).amplitudes
+        got = plane_state(GroverInstance(2, 3), 0.0).amplitudes
         amp = 1.0 / math.sqrt(3.0)
         assert got[2] == 0.0
         assert np.abs(got[[0, 1, 3]] - amp).max() < 1e-15
@@ -119,7 +124,7 @@ class TestTauPerp:
         for n in (1, 2, 3, 4):
             for target in (1, 1 << n):
                 inst = GroverInstance(n, target)
-                perp = tau_perp(inst).amplitudes
+                perp = plane_state(inst, 0.0).amplitudes
                 tau = basis_state(n, target).amplitudes
                 assert np.vdot(tau, perp) == 0.0
 
@@ -196,6 +201,27 @@ class TestSimulationPaths:
         t = data.draw(st.integers(0, max_t_in_period(grover_angles(inst.n_states))))
         kernel = state_after_iterations(inst, t).amplitudes
         assert np.abs(kernel - closed_form_state(inst, t).amplitudes).max() <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_pass_matches_restarting_from_zero(self, data):
+        # state_after_iterations restarts from t=0 for every t: the reference
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        inst = GroverInstance(n, data.draw(st.integers(min_value=1, max_value=1 << n)))
+        t_max = data.draw(st.integers(0, max_t_in_period(grover_angles(inst.n_states))))
+        basis = basis_state(n, inst.target)
+        rows = probability_curve(inst, t_max)
+        assert len(rows) == t_max + 1
+        for row, amps in zip(rows, kernel_steps(inst)):
+            restarted = state_after_iterations(inst, row.t)
+            assert row.p_simulated == measurement_probability(basis, restarted)
+            assert np.array_equal(amps, restarted.amplitudes)
+        alpha = data.draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
+        summed = (
+            math.cos(alpha) * plane_state(inst, 0.0).amplitudes
+            + math.sin(alpha) * basis.amplitudes
+        )
+        assert np.abs(plane_state(inst, alpha).amplitudes - summed).max() <= 1e-15
 
     def test_paths_agree_with_each_other(self):
         inst = GroverInstance(6, 17)
@@ -319,6 +345,42 @@ class TestOptimalIterations:
             p_floor = success_probability(ang, opt.t_floor)
             p_ceil = success_probability(ang, opt.t_ceil)
             assert opt.p_best >= max(p_floor, p_ceil) - 1e-12
+
+
+class TestHighPrecisionReference:
+    """Every qubit count ``optimal --n`` accepts, against 80-digit arithmetic."""
+
+    @staticmethod
+    def _snapped(mp, x, rounding):
+        # only N=4 has an exactly integral bound (t_real = 1); 80 digits
+        # leave it a hair off, and floor/ceil must see the integer
+        nearest = mp.nint(x)
+        return int(nearest) if abs(x - nearest) < mp.mpf("1e-60") else int(rounding(x))
+
+    def test_optimal_count_and_ranges_up_to_sixty_qubits(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            for n in range(1, 61):
+                self._compare(mpmath.mp, n)
+
+    def _compare(self, mp, n):
+        ang = grover_angles(1 << n)
+        theta = mp.asin(1 / mp.sqrt(mp.mpf(2) ** n))
+        t_real = mp.pi / (4 * theta) - mp.mpf(1) / 2
+        t_floor = max(0, self._snapped(mp, t_real, mp.floor))
+        t_ceil = self._snapped(mp, t_real, mp.ceil)
+        p_floor = mp.sin((2 * t_floor + 1) * theta) ** 2
+        p_ceil = mp.sin((2 * t_ceil + 1) * theta) ** 2
+        # the floor wins a tie; N=2 (p_0 = p_1 = 1/2) is the only one
+        best = t_ceil if p_ceil - p_floor > mp.mpf("1e-60") else t_floor
+        assert optimal_iterations(ang).t_best == best, n
+
+        inc_hi = self._snapped(mp, t_real - 1, mp.floor)
+        assert monotonic_increase_range(ang) == range(1, inc_hi + 1), n
+        dec_hi = self._snapped(mp, mp.pi / (2 * theta) - mp.mpf(3) / 2, mp.floor)
+        assert monotonic_decrease_range(ang) == range(t_ceil, dec_hi + 1), n
+        period = self._snapped(mp, (mp.pi / theta - 1) / 2, mp.floor)
+        assert max_t_in_period(ang) == period, n
 
 
 class TestMonotonicRanges:

@@ -81,7 +81,7 @@ class TestZeroAndBasisStates:
 
     def test_three_qubit_zero_state(self):
         q = basis_state(3, 1)
-        assert q.dim == 8
+        assert len(q.amplitudes) == 8
         assert q.amplitudes[0] == 1.0
         assert np.all(q.amplitudes[1:] == 0.0)
 
@@ -225,7 +225,7 @@ class TestMeasurementProbability:
             q = random_qstate(n, rng)
             total = sum(
                 measurement_probability(basis_state(n, label), q)
-                for label in range(1, q.dim + 1)
+                for label in range(1, len(q.amplitudes) + 1)
             )
             assert abs(total - 1.0) < 1e-9
 
