@@ -31,7 +31,7 @@ from .grover import (
     state_after_iterations,
     success_probability,
 )
-from .states import basis_state, measurement_probability, sample_measurement
+from .states import measurement_probability, sample_measurement
 from .verification import VerificationConfig, run_all
 
 
@@ -106,11 +106,12 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
         f"--t must be at most {_T_LIMIT} (one period at {KERNEL_QUBIT_CAP} qubits)",
     )
     _require(shots is None or shots >= 1, "--shots must be at least 1")
+    _require(seed >= 0, "--seed must be non-negative")
     _require(output is None or shots is not None, "--output requires --shots")
 
     inst = GroverInstance(n_qubits, target)
     state = state_after_iterations(inst, iterations)
-    p_sim = measurement_probability(basis_state(n_qubits, target), state)
+    p_sim = measurement_probability(state, target)
     p_closed = success_probability(grover_angles(inst.n_states), iterations)
 
     histogram = None
@@ -195,6 +196,7 @@ def factor(modulus, seed, shots, as_json) -> None:
         f"--m must be below 2**{2 * KERNEL_QUBIT_CAP} ({KERNEL_QUBIT_CAP} qubits)",
     )
     _require(shots >= 1, "--shots must be at least 1")
+    _require(seed >= 0, "--seed must be non-negative")
     try:
         result = run_factor_search(modulus, seed, shots)
     except (NoSolutionError, MultipleSolutionsError) as exc:
@@ -203,21 +205,9 @@ def factor(modulus, seed, shots, as_json) -> None:
         click.echo(str(exc), err=True)
         sys.exit(2)
 
-    _report(
-        {"m": modulus},
-        {
-            "factor": result.factor_found,
-            "cofactor": result.cofactor,
-            "t_used": result.t_used,
-            "p_predicted": result.p_predicted,
-            "empirical_frequency": result.empirical_frequency,
-            "modal_candidate": result.modal_candidate,
-            "shots": result.shots,
-            "seed": result.seed,
-        },
-        as_json,
-        {"histogram": _histogram_json(result.histogram)},
-    )
+    fields = dataclasses.asdict(result)
+    histogram = fields.pop("histogram")
+    _report({"m": modulus}, fields, as_json, {"histogram": _histogram_json(histogram)})
     if not result.succeeded:
         click.echo(
             f"modal outcome {result.modal_candidate} does not divide {modulus}; "

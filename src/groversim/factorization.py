@@ -27,7 +27,7 @@ from .grover import (
     state_after_iterations,
     success_probability,
 )
-from .states import basis_state, make_qstate, measurement_probability, sample_measurement
+from .states import make_qstate, measurement_probability, sample_measurement
 
 
 #: Smallest modulus whose candidate range [2, floor(sqrt(m))] needs more than
@@ -46,15 +46,6 @@ class MultipleSolutionsError(ValueError):
 def _divisors_in_range(m: int) -> list[int]:
     root = math.isqrt(m)
     return [d for d in range(2, root + 1) if m % d == 0]
-
-
-def _qubits_for(m: int) -> int:
-    # smallest n with 2^n > floor(sqrt(m)), so the space covers every candidate
-    root = math.isqrt(m)
-    n = 1
-    while (1 << n) <= root:
-        n += 1
-    return n
 
 
 def build_factor_instance(m: int) -> GroverInstance:
@@ -82,31 +73,33 @@ def build_factor_instance(m: int) -> GroverInstance:
             "single-solution search only"
         )
     divisor = marked[0]
-    return GroverInstance(n_qubits=_qubits_for(m), target=divisor + 1)
+    # smallest n with 2^n > floor(sqrt(m)), so the space covers every candidate
+    return GroverInstance(n_qubits=math.isqrt(m).bit_length(), target=divisor + 1)
 
 
 @dataclass(frozen=True)
 class FactorResult:
     """Outcome of one sampled factor search.
 
-    ``factor_found``/``cofactor`` are None when the modal measurement outcome
+    ``factor``/``cofactor`` are None when the modal measurement outcome
     failed the classical divisibility check; the histogram is retained either
-    way so failures can be diagnosed.
+    way so failures can be diagnosed.  Fields are in the order of the
+    ``factor`` command's report.
     """
 
-    factor_found: int | None
+    factor: int | None
     cofactor: int | None
     t_used: int
     p_predicted: float
     empirical_frequency: float
+    modal_candidate: int
     shots: int
     seed: int
-    modal_candidate: int
     histogram: dict[int, int]
 
     @property
     def succeeded(self) -> bool:
-        return self.factor_found is not None
+        return self.factor is not None
 
 
 def run_factor_search(m: int, seed: int, shots: int) -> FactorResult:
@@ -129,14 +122,14 @@ def run_factor_search(m: int, seed: int, shots: int) -> FactorResult:
     else:
         factor, cofactor = None, None
     return FactorResult(
-        factor_found=factor,
+        factor=factor,
         cofactor=cofactor,
         t_used=opt.t_best,
         p_predicted=opt.p_best,
         empirical_frequency=modal_count / shots,
+        modal_candidate=candidate,
         shots=shots,
         seed=seed,
-        modal_candidate=candidate,
         histogram=dict(sorted(histogram.items())),
     )
 
@@ -161,12 +154,11 @@ def probability_curve(inst: GroverInstance, t_max: int | None = None) -> list[Cu
         raise ValueError(f"t_max {t_max} exceeds the single-period bound {bound}")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    target = basis_state(inst.n_qubits, inst.target)
     # range first: zip stops there without drawing one more kernel step
     return [
         CurvePoint(
             t=t,
-            p_simulated=measurement_probability(target, make_qstate(amps)),
+            p_simulated=measurement_probability(make_qstate(amps), inst.target),
             p_closed_form=success_probability(angles, t),
         )
         for t, amps in zip(range(t_max + 1), kernel_steps(inst))

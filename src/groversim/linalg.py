@@ -5,8 +5,10 @@ square and stored 0-based row-major; the handful of places that speak the
 1-based basis-label convention (see :mod:`groversim.states`) convert at the
 boundary, so basis label ``i`` always means storage index ``i - 1``.
 
-Inputs are validated on entry: non-finite entries (NaN/Inf) are rejected
-everywhere, and shape mismatches raise :class:`DimensionMismatchError`.
+Matrices are validated on entry by :func:`as_matrix`, which rejects
+non-finite entries (NaN/Inf); shape mismatches raise
+:class:`DimensionMismatchError`.  Vectors are validated where they become
+states, by :func:`groversim.states.make_qstate`.
 """
 
 from __future__ import annotations
@@ -22,29 +24,16 @@ class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
 
 
-def _as_complex_array(a, ndim: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite entries are not admitted")
-    return arr
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite square complex matrix, validating shape."""
-    m = _as_complex_array(a, 2)
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("non-finite entries are not admitted")
     if m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"matrix must be square with dim >= 1, got shape {m.shape}")
     return m
-
-
-def as_vector(a) -> np.ndarray:
-    """Coerce to a finite complex vector, validating shape."""
-    v = _as_complex_array(a, 1)
-    if v.shape[0] < 1:
-        raise ValueError("vector must be non-empty")
-    return v
 
 
 def matmul(a, b) -> np.ndarray:

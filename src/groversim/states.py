@@ -2,9 +2,10 @@
 
 A :class:`QState` wraps a read-only complex amplitude vector of dimension
 ``2**n`` that must have unit squared norm; construction rejects anything
-else rather than silently renormalizing.  Basis outcomes are labelled
-1-based (labels 1 .. 2^n), matching the convention used throughout the
-package; storage index is always ``label - 1``.
+else, non-finite entries included, rather than silently renormalizing.
+Basis outcomes are labelled 1-based (labels 1 .. 2^n), matching the
+convention used throughout the package; storage index is always
+``label - 1``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import DimensionMismatchError, as_vector
 
 #: Tolerance on |norm^2 - 1| accepted by the QState constructor.
 NORM_TOL = 1e-10
@@ -40,18 +39,19 @@ class QState:
     amplitudes: np.ndarray
 
 
-def squared_norm(v) -> float:
-    """Squared 2-norm of a complex vector."""
-    vec = as_vector(v)
-    return float(np.real(np.vdot(vec, vec)))
-
-
 def make_qstate(v) -> QState:
-    """Wrap a private complex copy of a vector as a QState, rejecting non-normalized input."""
-    amps = as_vector(np.array(v, dtype=np.complex128))
+    """Wrap a private complex copy of a vector as a QState, rejecting non-normalized input.
+
+    The norm gate is also the finiteness check: a NaN or infinite entry makes
+    the squared norm NaN or infinite, and ``not <= NORM_TOL`` rejects both
+    (``> NORM_TOL`` would let NaN through).
+    """
+    amps = np.array(v, dtype=np.complex128)
+    if amps.ndim != 1:
+        raise ValueError(f"expected a 1-d array, got shape {amps.shape}")
     n = _n_qubits_for_dim(amps.shape[0])
-    norm2 = squared_norm(amps)
-    if abs(norm2 - 1.0) > NORM_TOL:
+    norm2 = float(np.vdot(amps, amps).real)
+    if not abs(norm2 - 1.0) <= NORM_TOL:
         raise NormalizationError(
             f"squared norm {norm2!r} differs from 1 by more than {NORM_TOL}"
         )
@@ -90,17 +90,12 @@ def completeness_residual(n_qubits: int) -> float:
     return float(np.abs(acc - np.eye(dim)).max())
 
 
-def measurement_probability(x: QState, y: QState) -> float:
-    """Probability of observing outcome ``x`` when measuring ``y``.
-
-    Computed as |<x|y>|^2, which equals the projective form
-    ||(|x><x|) |y>||^2 because the projector has rank one and ||x|| = 1.
-    """
-    if x.n_qubits != y.n_qubits:
-        raise DimensionMismatchError(
-            f"qubit counts differ: {x.n_qubits} vs {y.n_qubits}"
-        )
-    return float(abs(np.vdot(x.amplitudes, y.amplitudes)) ** 2)
+def measurement_probability(q: QState, label: int) -> float:
+    """Born probability |q[label - 1]|^2 of the 1-based basis outcome ``label``."""
+    dim = len(q.amplitudes)
+    if not 1 <= label <= dim:
+        raise ValueError(f"basis label must be in 1..{dim}, got {label}")
+    return float(abs(q.amplitudes[label - 1]) ** 2)
 
 
 def sample_measurement(q: QState, rng_seed: int, shots: int) -> Counter[int]:

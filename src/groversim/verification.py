@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -86,6 +86,8 @@ class VerificationConfig:
             raise ValueError("n_max must be in 1..12")
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _faulty_diffusion(n_qubits: int) -> np.ndarray:
@@ -456,13 +458,7 @@ class VerificationReport:
             )
         return {
             "schema_version": "1",
-            "config": {
-                "n_max": self.config.n_max,
-                "t_max": self.config.t_max,
-                "seed": self.config.seed,
-                "inject_fault": self.config.inject_fault,
-                "tolerances": dict(self.config.tolerances),
-            },
+            "config": asdict(self.config),
             "results": results,
             "summary": {"passed": self.passed_count, "failed": self.failed_count},
         }

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -73,6 +74,28 @@ class TestSimulate:
         assert out == ""
         assert "--t must be at most 6433" in err and "Traceback" not in err
         assert time.perf_counter() - started < 1.0
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "3", "--target", "2", "--t", "1",
+            "--shots", "5", "--seed", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err and "Traceback" not in err
+
+    def test_peak_memory_is_one_state_vector(self, capsys):
+        # the kernel's float vector plus make_qstate's complex copy: 24 B per
+        # amplitude; reading the target's probability must not add another vector
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--n", "18", "--target", "3", "--t", "10", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 32 * 2**18
 
     def test_unknown_option_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--frobnicate")
@@ -195,6 +218,12 @@ class TestFactor:
         assert "--m must be below 2**48" in err and "Traceback" not in err
         assert time.perf_counter() - started < 1.0
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "--m", "143", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err and "Traceback" not in err
+
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "--m", "143", "--seed", "1")
         assert code == 0
@@ -230,3 +259,12 @@ class TestVerify:
     def test_bad_n_max_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n-max", "40")
         assert code == 1
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        # default_rng(-5) raised inside a check, which then reported a false failure
+        code, out, err = run_cli(
+            capsys, "verify", "--seed", "-5", "--n-max", "2", "--t-max", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert "seed" in err and "Traceback" not in err

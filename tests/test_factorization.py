@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from groversim import factorization
 from groversim.factorization import (
     CurvePoint,
     MultipleSolutionsError,
@@ -32,6 +33,16 @@ class TestBuildFactorInstance:
         inst = build_factor_instance(15)
         assert inst.n_qubits == 2
         assert inst.target == 4
+
+    def test_qubit_count_is_the_smallest_covering_the_range(self, monkeypatch):
+        # the qubit count depends on m alone; a stub divisor scan reaches every
+        # m, including the 4^k boundaries where isqrt(m) crosses a power of two
+        monkeypatch.setattr(factorization, "_divisors_in_range", lambda m: [2])
+        moduli = list(range(6, 70_001))
+        moduli += [4**k + d for k in range(2, 24) for d in (-1, 0, 1)]
+        for m in moduli:
+            n = build_factor_instance(m).n_qubits
+            assert 2 ** (n - 1) <= math.isqrt(m) < 2**n, m
 
     def test_prime_modulus_has_no_solution(self):
         with pytest.raises(NoSolutionError):
@@ -63,9 +74,9 @@ class TestBuildFactorInstance:
 class TestRunFactorSearch:
     def test_143_finds_11_and_13(self):
         result = run_factor_search(143, seed=1, shots=10_000)
-        assert result.factor_found == 11
+        assert result.factor == 11
         assert result.cofactor == 13
-        assert result.factor_found * result.cofactor == 143
+        assert result.factor * result.cofactor == 143
         assert result.t_used == 3
         assert abs(result.p_predicted - P3_N16) < 1e-12
         sigma = math.sqrt(P3_N16 * (1.0 - P3_N16) / result.shots)
@@ -73,7 +84,7 @@ class TestRunFactorSearch:
 
     def test_15_finds_3_and_5_with_certainty(self):
         result = run_factor_search(15, seed=2, shots=100)
-        assert result.factor_found == 3
+        assert result.factor == 3
         assert result.cofactor == 5
         assert result.p_predicted == 1.0
         assert result.empirical_frequency == 1.0
@@ -82,15 +93,15 @@ class TestRunFactorSearch:
         result = run_factor_search(143, seed=9, shots=1)
         assert sum(result.histogram.values()) == 1
         if result.succeeded:
-            assert result.factor_found == 11 and result.cofactor == 13
+            assert result.factor == 11 and result.cofactor == 13
         else:
-            assert result.factor_found is None and result.cofactor is None
+            assert result.factor is None and result.cofactor is None
 
     def test_product_invariant_across_moduli(self):
         for m in (9, 15, 21, 35, 77, 143, 187):
             result = run_factor_search(m, seed=4, shots=4000)
             if result.succeeded:
-                assert result.factor_found * result.cofactor == m
+                assert result.factor * result.cofactor == m
 
     def test_histogram_is_retained_and_consistent(self):
         result = run_factor_search(143, seed=5, shots=2000)

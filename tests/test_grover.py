@@ -214,7 +214,7 @@ class TestSimulationPaths:
         assert len(rows) == t_max + 1
         for row, amps in zip(rows, kernel_steps(inst)):
             restarted = state_after_iterations(inst, row.t)
-            assert row.p_simulated == measurement_probability(basis, restarted)
+            assert row.p_simulated == measurement_probability(restarted, inst.target)
             assert np.array_equal(amps, restarted.amplitudes)
         alpha = data.draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
         summed = (
@@ -234,7 +234,7 @@ class TestSimulationPaths:
         inst = GroverInstance(12, 1000)
         opt = optimal_iterations(grover_angles(inst.n_states))
         state = state_after_iterations(inst, opt.t_best)
-        p = measurement_probability(basis_state(12, 1000), state)
+        p = measurement_probability(state, 1000)
         assert abs(p - opt.p_best) < 1e-9
 
     def test_drift_at_twenty_qubits_stays_inside_its_margin(self):
@@ -250,7 +250,7 @@ class TestSimulationPaths:
     def test_sixteen_state_probability_after_three_steps(self):
         inst = GroverInstance(4, 11)
         state = state_after_iterations(inst, 3)
-        p = measurement_probability(basis_state(4, 11), state)
+        p = measurement_probability(state, 11)
         assert abs(p - P3_N16) < 1e-9
 
     def test_invalid_inputs(self):
@@ -292,11 +292,10 @@ class TestPlaneRotation:
     def test_projection_matches_full_simulation(self):
         inst = GroverInstance(3, 6)
         ang = grover_angles(inst.n_states)
-        target = basis_state(3, 6)
         for t in range(0, 6):
             full = state_after_iterations(inst, t)
             c_tau = math.sin((2 * t + 1) * ang.theta)
-            assert abs(c_tau**2 - measurement_probability(target, full)) < 1e-9
+            assert abs(c_tau**2 - measurement_probability(full, 6)) < 1e-9
 
 
 class TestSuccessProbability:

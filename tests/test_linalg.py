@@ -13,14 +13,13 @@ from groversim.grover import (
 )
 from groversim.linalg import (
     DimensionMismatchError,
-    as_vector,
     column_orthonormality_residual,
     is_unitary,
     matmul,
     tensor_product_list,
     unitarity_residual,
 )
-from groversim.states import basis_state, hadamard
+from groversim.states import NormalizationError, basis_state, hadamard, make_qstate
 
 from oracles import kron_fold, naive_matvec, random_2x2, random_structured_unitary
 
@@ -254,9 +253,11 @@ class TestValidation:
             unitarity_residual(bad)
 
     def test_inf_entries_rejected(self):
-        bad = np.array([1.0, np.inf])
         with pytest.raises(ValueError):
-            as_vector(bad)
+            unitarity_residual(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        # vectors are validated where they become states, by the norm gate
+        with pytest.raises(NormalizationError):
+            make_qstate(np.array([1.0, np.inf]))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

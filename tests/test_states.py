@@ -22,12 +22,15 @@ from groversim.states import (
     projector,
     random_qstate,
     sample_measurement,
-    squared_norm,
 )
 
 from oracles import kron_fold, random_structured_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def norm2(v) -> float:
+    return float(np.vdot(v, v).real)
 
 
 class TestMakeQState:
@@ -38,7 +41,7 @@ class TestMakeQState:
 
     def test_uniform_pair_accepted(self):
         q = make_qstate([INV_SQRT2, INV_SQRT2])
-        assert abs(squared_norm(q.amplitudes) - 1.0) < 1e-15
+        assert abs(norm2(q.amplitudes) - 1.0) < 1e-15
 
     def test_unnormalized_rejected(self):
         with pytest.raises(NormalizationError):
@@ -63,6 +66,17 @@ class TestMakeQState:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             make_qstate([np.nan, 0.0])
+
+    def test_non_finite_entries_fail_the_norm_gate(self):
+        nan, inf = float("nan"), float("inf")
+        for bad in ([nan, 0], [0, complex(0, nan)], [inf, 0], [-inf, 0], [complex(0, inf), 0]):
+            with pytest.raises(NormalizationError):
+                make_qstate(bad)
+
+    def test_non_vector_rejected(self):
+        for bad in (np.eye(2), []):
+            with pytest.raises(ValueError):
+                make_qstate(bad)
 
     def test_roundtrip_is_identity(self):
         q = random_qstate(3, np.random.default_rng(5))
@@ -92,7 +106,7 @@ class TestZeroAndBasisStates:
     def test_basis_state_labels_are_one_based(self):
         q = basis_state(2, 3)
         assert q.amplitudes[2] == 1.0
-        assert squared_norm(q.amplitudes) == 1.0
+        assert norm2(q.amplitudes) == 1.0
 
     def test_basis_label_out_of_range(self):
         with pytest.raises(ValueError):
@@ -152,7 +166,7 @@ class TestEvolve:
                 u = random_structured_unitary(n, rng)
                 q = random_qstate(n, rng)
                 out = make_qstate(u @ q.amplitudes)
-                assert abs(squared_norm(out.amplitudes) - 1.0) < 1e-9
+                assert abs(norm2(out.amplitudes) - 1.0) < 1e-9
 
     def test_non_unitary_operator_rejected(self):
         # the norm gate refuses what a non-unitary operator makes
@@ -197,37 +211,52 @@ class TestProjector:
 
 class TestMeasurementProbability:
     def test_same_state_gives_one(self):
-        q = random_qstate(3, np.random.default_rng(6))
-        assert abs(measurement_probability(q, q) - 1.0) < 1e-12
+        for label in range(1, 9):
+            assert abs(measurement_probability(basis_state(3, label), label) - 1.0) < 1e-12
 
     def test_orthogonal_basis_states_give_zero(self):
-        assert measurement_probability(basis_state(2, 1), basis_state(2, 2)) == 0.0
+        assert measurement_probability(basis_state(2, 2), 1) == 0.0
 
     def test_basis_against_uniform_sixteen(self):
         uniform = make_qstate(np.full(16, 0.25, dtype=complex))
-        assert abs(measurement_probability(basis_state(4, 7), uniform) - 1.0 / 16.0) < 1e-15
+        assert abs(measurement_probability(uniform, 7) - 1.0 / 16.0) < 1e-15
 
     def test_qubit_count_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            measurement_probability(basis_state(1, 1), basis_state(2, 1))
+        # a label outside 1..2^n names no outcome of an n-qubit state
+        for label in (0, 3, -1):
+            with pytest.raises(ValueError):
+                measurement_probability(basis_state(1, 1), label)
 
     def test_matches_projector_route(self):
         rng = np.random.default_rng(8)
         for n in (1, 2, 3, 4):
-            x = random_qstate(n, rng)
             y = random_qstate(n, rng)
-            projected = projector(x) @ y.amplitudes
-            assert abs(measurement_probability(x, y) - squared_norm(projected)) < 1e-12
+            for label in range(1, (1 << n) + 1):
+                projected = projector(basis_state(n, label)) @ y.amplitudes
+                assert abs(measurement_probability(y, label) - norm2(projected)) < 1e-12
 
     def test_outcome_probabilities_sum_to_one(self):
         rng = np.random.default_rng(9)
         for n in (1, 3, 6):
             q = random_qstate(n, rng)
             total = sum(
-                measurement_probability(basis_state(n, label), q)
+                measurement_probability(q, label)
                 for label in range(1, len(q.amplitudes) + 1)
             )
             assert abs(total - 1.0) < 1e-9
+
+    def test_born_rule_equals_the_basis_inner_product(self):
+        # |<label|q>|^2 is the two-state formula this function replaced
+        rng = np.random.default_rng(12)
+        for n in range(1, 9):
+            for _ in range(20):
+                q = random_qstate(n, rng)
+                vectorized = np.abs(q.amplitudes) ** 2
+                for label in range(1, (1 << n) + 1):
+                    p = measurement_probability(q, label)
+                    assert p == abs(np.vdot(basis_state(n, label).amplitudes, q.amplitudes)) ** 2
+                    # numpy's vectorized abs may differ by 1 ulp on complex entries
+                    assert abs(p - vectorized[label - 1]) <= 2.3e-16
 
 
 class TestSampling:
@@ -258,5 +287,5 @@ def test_random_qstate_is_normalized():
     rng = np.random.default_rng(11)
     for n in (1, 4, 8):
         q = random_qstate(n, rng)
-        assert abs(squared_norm(q.amplitudes) - 1.0) < 1e-12
+        assert abs(norm2(q.amplitudes) - 1.0) < 1e-12
         assert isinstance(q, QState)

@@ -132,3 +132,5 @@ def test_config_bounds():
         VerificationConfig(n_max=0)
     with pytest.raises(ValueError):
         VerificationConfig(t_max=0)
+    with pytest.raises(ValueError):
+        VerificationConfig(seed=-1)
