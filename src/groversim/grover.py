@@ -118,15 +118,16 @@ def kernel_steps(inst: GroverInstance) -> Iterator[np.ndarray]:
     """Real amplitudes after 0, 1, 2, ... Grover steps from the uniform superposition.
 
     Each step of the vector kernel flips the sign of the target amplitude,
-    then reflects every amplitude about the mean: O(2^n) per step.  A yielded
-    array is valid only until the next one is drawn.
+    then reflects every amplitude about the mean: O(2^n) per step, in place in
+    one buffer for the whole pass, so a yielded array is valid only until the
+    next one is drawn.
     """
     amps = np.full(inst.n_states, 1.0 / math.sqrt(inst.n_states))
     flip = inst.target - 1
     while True:
         yield amps
         amps[flip] = -amps[flip]
-        amps = 2.0 * amps.mean() - amps
+        np.subtract(2.0 * amps.mean(), amps, out=amps)
 
 
 def _simulate_kernel(inst: GroverInstance, t: int) -> QState:

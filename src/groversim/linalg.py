@@ -68,16 +68,19 @@ def column_orthonormality_residual(a) -> float:
 
 
 def tensor_product_list(ms: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product of a list of 2x2 matrices via the bit-index product formula.
+    """Kronecker product ``ms[0] (x) ms[1] (x) ... (x) ms[k-1]`` of 2x2 matrices.
 
-    For ``k`` factors the result ``R`` has dimension ``2**k`` and
+    The last factor acts on the least significant bit of the 0-based index:
+    for ``k`` factors the result has dimension ``2**k`` and
 
         R[i, j] = prod_{l=0}^{k-1} ms[k-1-l][bit_l(i), bit_l(j)]
 
-    where ``bit_l`` extracts bit ``l`` of the 0-based index.  The last factor
-    in the list therefore acts on the least significant bit, which makes the
-    result equal to the left-to-right Kronecker product
-    ``ms[0] (x) ms[1] (x) ... (x) ms[k-1]``.
+    A fold from the right puts each earlier factor on a new most significant
+    bit by a broadcast product laid out as (2, d, 2, d), so every entry is
+    1 * ms[k-1] * ms[k-2] * ... * ms[0] in that order.  The order is fixed on
+    purpose: complex multiply is not bitwise commutative, and a plain
+    ``np.kron`` fold in either order changes the last bits of some entries
+    and with them the verify report.
 
     An empty list is rejected (the product is not defined here), as is any
     factor that is not 2x2.
@@ -90,11 +93,7 @@ def tensor_product_list(ms: Sequence[np.ndarray]) -> np.ndarray:
         if m.shape != (2, 2):
             raise ValueError(f"every tensor factor must be 2x2, got shape {m.shape}")
         mats.append(m)
-    k = len(mats)
-    dim = 1 << k
-    bits_per_level = [(np.arange(dim) >> level) & 1 for level in range(k)]
-    out = np.ones((dim, dim), dtype=np.complex128)
-    for level in range(k):
-        bits = bits_per_level[level]
-        out *= mats[k - 1 - level][np.ix_(bits, bits)]
-    return out
+    acc = np.ones((2, 2), dtype=np.complex128) * mats[-1]
+    for m in reversed(mats[:-1]):
+        acc = (acc[None, :, None, :] * m[:, None, :, None]).reshape(2 * len(acc), -1)
+    return acc

@@ -1,8 +1,9 @@
 """Independent reference implementations the tests check the library against.
 
 These deliberately use different algorithms from the package code: the
-Kronecker oracle folds ``np.kron`` pairwise instead of evaluating the
-bit-index product formula, and the matvec oracle is a plain double loop.
+Kronecker oracles fold ``np.kron`` left to right or evaluate the bit-index
+product formula level by level, where the package folds broadcast products
+from the right, and the matvec oracle is a plain double loop.
 """
 
 from __future__ import annotations
@@ -17,6 +18,22 @@ def kron_fold(ms) -> np.ndarray:
     out = np.array([[1.0 + 0.0j]])
     for m in ms:
         out = np.kron(out, np.asarray(m, dtype=np.complex128))
+    return out
+
+
+def bit_index_product(ms) -> np.ndarray:
+    """R[i, j] = prod_l ms[k-1-l][bit_l(i), bit_l(j)], multiplied in order l = 0, 1, ...
+
+    Every entry is 1 * ms[k-1][..] * ms[k-2][..] * ... * ms[0][..], the
+    multiplication order ``tensor_product_list`` keeps, so the two agree bit
+    for bit.
+    """
+    k = len(ms)
+    dim = 1 << k
+    out = np.ones((dim, dim), dtype=np.complex128)
+    for level in range(k):
+        bits = (np.arange(dim) >> level) & 1
+        out *= np.asarray(ms[k - 1 - level], dtype=np.complex128)[np.ix_(bits, bits)]
     return out
 
 

@@ -1,6 +1,7 @@
 """Tests for Grover operators, the simulation kernel and iteration analytics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,37 @@ class TestSimulationPaths:
         amps = state_after_iterations(inst, t).amplitudes
         assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-11
         assert np.abs(amps - closed_form_state(inst, t).amplitudes).max() <= 1e-12
+
+    @pytest.mark.slow
+    def test_drift_at_the_qubit_cap_stays_inside_its_margin(self):
+        # measured 1.87e-11 and 3.7e-15 against the 1e-10 make_qstate gate
+        inst = GroverInstance(24, 12345)
+        t = optimal_iterations(grover_angles(inst.n_states)).t_best
+        assert t == 3216
+        amps = state_after_iterations(inst, t).amplitudes
+        assert abs(np.vdot(amps, amps).real - 1.0) <= 5e-11
+        closed = closed_form_state(inst, t).amplitudes
+        # slice by slice, so no third 2^24 vector is held at once
+        step = 1 << 20
+        gap = max(
+            float(np.abs(amps[i:i + step] - closed[i:i + step]).max())
+            for i in range(0, inst.n_states, step)
+        )
+        assert gap <= 1e-13
+
+    def test_kernel_holds_one_vector(self):
+        # the step updates its buffer in place: no second 2^n array lives
+        # beside it, so the peak stays at one float64 vector plus a little
+        inst = GroverInstance(18, 3)
+        tracemalloc.start()
+        try:
+            steps = kernel_steps(inst)
+            for _ in range(50):
+                next(steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * inst.n_states + 64 * 1024
 
     def test_sixteen_state_probability_after_three_steps(self):
         inst = GroverInstance(4, 11)

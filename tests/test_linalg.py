@@ -21,7 +21,9 @@ from groversim.linalg import (
 )
 from groversim.states import NormalizationError, basis_state, hadamard, make_qstate
 
-from oracles import kron_fold, naive_matvec, random_2x2, random_structured_unitary
+from oracles import (
+    bit_index_product, kron_fold, naive_matvec, random_2x2, random_structured_unitary
+)
 
 RNG = np.random.default_rng(20260810)
 
@@ -186,6 +188,15 @@ class TestTensorProductList:
             want = kron_fold(ms)
             assert got.shape == (2**length, 2**length)
             assert np.abs(got - want).max() < 1e-14
+
+    def test_matches_bit_index_formula_bit_for_bit(self):
+        # same multiplication order per entry, so equal to the last bit
+        rng = np.random.default_rng(7)
+        for length in range(1, 11):
+            for _ in range(2):
+                ms = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                      for _ in range(length)]
+                assert np.array_equal(tensor_product_list(ms), bit_index_product(ms))
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
