@@ -24,9 +24,9 @@ from .factorization import (
 )
 from .grover import (
     KERNEL_QUBIT_CAP,
+    T_LIMIT,
     GroverInstance,
     grover_angles,
-    max_t_in_period,
     optimal_iterations,
     state_after_iterations,
     success_probability,
@@ -35,9 +35,9 @@ from .states import measurement_probability, sample_measurement
 from .verification import VerificationConfig, run_all
 
 
-#: Largest ``simulate --t``: one period of p_t at the qubit cap (6433); a larger
-#: t only repeats the curve, at up to hours of kernel time.
-_T_LIMIT = max_t_in_period(grover_angles(2**KERNEL_QUBIT_CAP))
+#: Largest ``--shots``: at this count the sampler's arrays are about the size of
+#: the largest state vector ``--n`` admits.
+_SHOTS_LIMIT = 2**KERNEL_QUBIT_CAP
 
 
 def _fmt(x: float) -> str:
@@ -51,12 +51,8 @@ def _require(condition: bool, message: str) -> None:
 
 def _histogram_csv(histogram) -> str:
     lines = ["outcome,count"]
-    lines.extend(f"{k},{v}" for k, v in sorted(histogram.items()))
+    lines.extend(f"{k},{v}" for k, v in histogram.items())
     return "\n".join(lines) + "\n"
-
-
-def _histogram_json(histogram) -> dict[str, int]:
-    return {str(k): v for k, v in sorted(histogram.items())}
 
 
 def _report(inputs: dict, results: dict, as_json: bool, extra: dict | None = None) -> None:
@@ -102,10 +98,11 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
     _require(1 <= target <= 2**n_qubits, f"--target must be in 1..{2 ** n_qubits}")
     _require(iterations >= 0, "--t must be non-negative")
     _require(
-        iterations <= _T_LIMIT,
-        f"--t must be at most {_T_LIMIT} (one period at {KERNEL_QUBIT_CAP} qubits)",
+        iterations <= T_LIMIT,
+        f"--t must be at most {T_LIMIT} (one period at {KERNEL_QUBIT_CAP} qubits)",
     )
     _require(shots is None or shots >= 1, "--shots must be at least 1")
+    _require(shots is None or shots <= _SHOTS_LIMIT, f"--shots must be at most {_SHOTS_LIMIT}")
     _require(seed >= 0, "--seed must be non-negative")
     _require(output is None or shots is not None, "--output requires --shots")
 
@@ -118,7 +115,7 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
     extra = None
     if shots is not None:
         histogram = sample_measurement(state, seed, shots)
-        extra = {"seed": seed, "shots": shots, "histogram": _histogram_json(histogram)}
+        extra = {"seed": seed, "shots": shots, "histogram": histogram}
 
     _report(
         {"n": n_qubits, "target": target, "t": iterations},
@@ -196,6 +193,7 @@ def factor(modulus, seed, shots, as_json) -> None:
         f"--m must be below 2**{2 * KERNEL_QUBIT_CAP} ({KERNEL_QUBIT_CAP} qubits)",
     )
     _require(shots >= 1, "--shots must be at least 1")
+    _require(shots <= _SHOTS_LIMIT, f"--shots must be at most {_SHOTS_LIMIT}")
     _require(seed >= 0, "--seed must be non-negative")
     try:
         result = run_factor_search(modulus, seed, shots)
@@ -205,9 +203,9 @@ def factor(modulus, seed, shots, as_json) -> None:
         click.echo(str(exc), err=True)
         sys.exit(2)
 
-    fields = dataclasses.asdict(result)
+    fields = dict(vars(result))
     histogram = fields.pop("histogram")
-    _report({"m": modulus}, fields, as_json, {"histogram": _histogram_json(histogram)})
+    _report({"m": modulus}, fields, as_json, {"histogram": histogram})
     if not result.succeeded:
         click.echo(
             f"modal outcome {result.modal_candidate} does not divide {modulus}; "

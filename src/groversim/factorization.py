@@ -115,7 +115,7 @@ def run_factor_search(m: int, seed: int, shots: int) -> FactorResult:
     opt = optimal_iterations(grover_angles(inst.n_states))
     state = state_after_iterations(inst, opt.t_best)
     histogram = sample_measurement(state, seed, shots)
-    modal_label, modal_count = max(histogram.items(), key=lambda kv: (kv[1], -kv[0]))
+    modal_label = max(histogram, key=histogram.get)  # first, so smallest, on ties
     candidate = modal_label - 1
     if 2 <= candidate < m and m % candidate == 0:
         factor, cofactor = candidate, m // candidate
@@ -126,11 +126,11 @@ def run_factor_search(m: int, seed: int, shots: int) -> FactorResult:
         cofactor=cofactor,
         t_used=opt.t_best,
         p_predicted=opt.p_best,
-        empirical_frequency=modal_count / shots,
+        empirical_frequency=histogram[modal_label] / shots,
         modal_candidate=candidate,
         shots=shots,
         seed=seed,
-        histogram=dict(sorted(histogram.items())),
+        histogram=histogram,
     )
 
 

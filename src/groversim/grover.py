@@ -237,3 +237,9 @@ def monotonic_decrease_range(angles: GroverAngles) -> range:
 def max_t_in_period(angles: GroverAngles) -> int:
     """Largest t with (2t+1) theta <= pi, bounding one period of p_t."""
     return math.floor((math.pi / angles.theta - 1.0) / 2.0)
+
+
+#: Largest iteration count ``simulate`` and ``verify`` accept: one period of
+#: p_t at the qubit cap (6433); a larger t only repeats the curve, at up to
+#: hours of kernel time.
+T_LIMIT = max_t_in_period(grover_angles(2**KERNEL_QUBIT_CAP))

@@ -11,7 +11,6 @@ convention used throughout the package; storage index is always
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,22 +97,23 @@ def measurement_probability(q: QState, label: int) -> float:
     return float(abs(q.amplitudes[label - 1]) ** 2)
 
 
-def sample_measurement(q: QState, rng_seed: int, shots: int) -> Counter[int]:
-    """Histogram of i.i.d. measurement outcomes (1-based basis labels).
+def sample_measurement(q: QState, rng_seed: int, shots: int) -> dict[int, int]:
+    """Histogram {1-based basis label: count} of i.i.d. measurements, in label order.
 
     Inverse-CDF sampling over the cumulative |amplitude|^2 array, driven by
-    numpy's PCG64 generator seeded with ``rng_seed``.  Histograms are
-    bit-for-bit reproducible for a given (seed, shots) pair.
+    numpy's PCG64 generator seeded with ``rng_seed``.  Only observed labels
+    appear; histograms are bit-for-bit reproducible per (seed, shots) pair.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    probs = np.abs(q.amplitudes) ** 2
-    cdf = np.cumsum(probs)
+    cdf = np.abs(q.amplitudes)
+    cdf *= cdf
+    np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0  # guard the top edge against rounding drift
     rng = np.random.default_rng(rng_seed)
-    draws = rng.random(shots)
-    outcomes = np.searchsorted(cdf, draws, side="right") + 1
-    return Counter(outcomes.tolist())
+    outcomes = np.searchsorted(cdf, rng.random(shots), side="right")
+    indices, counts = np.unique(outcomes, return_counts=True)
+    return dict(zip((indices + 1).tolist(), counts.tolist()))
 
 
 def random_qstate(n_qubits: int, rng: np.random.Generator) -> QState:

@@ -30,6 +30,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .grover import (
+    T_LIMIT,
     GroverAngles,
     GroverInstance,
     closed_form_state,
@@ -84,8 +85,8 @@ class VerificationConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n_max <= 12:
             raise ValueError("n_max must be in 1..12")
-        if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
+        if not 1 <= self.t_max <= T_LIMIT:
+            raise ValueError(f"t_max must be in 1..{T_LIMIT}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -3,12 +3,15 @@
 These deliberately use different algorithms from the package code: the
 Kronecker oracles fold ``np.kron`` left to right or evaluate the bit-index
 product formula level by level, where the package folds broadcast products
-from the right, and the matvec oracle is a plain double loop.
+from the right, and the matvec oracle is a plain double loop.  The sampling
+reference keeps the sampler's first form: out-of-place square and cumulative
+sum, and a ``Counter`` of the drawn labels.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -71,3 +74,11 @@ def random_structured_unitary(n_qubits: int, rng: np.random.Generator) -> np.nda
                 factors.append(np.diag([1.0, np.exp(1j * phi)]))
         u = u @ kron_fold(factors)
     return u
+
+
+def counter_histogram(amplitudes, rng_seed: int, shots: int) -> Counter:
+    """Inverse-CDF sampling of 1-based labels, counted in first-seen order."""
+    cdf = np.cumsum(np.abs(amplitudes) ** 2)
+    cdf[-1] = 1.0
+    draws = np.random.default_rng(rng_seed).random(shots)
+    return Counter((np.searchsorted(cdf, draws, side="right") + 1).tolist())

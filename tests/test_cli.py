@@ -10,6 +10,88 @@ from groversim.cli import main
 
 P3_N16 = 0.9613189697265625
 
+# Byte-for-byte reports, including the label-ordered histograms.
+GOLDEN_SIMULATE_TEXT = """\
+p_simulated    0.9453125
+p_closed_form  0.9453125
+difference     -3.33066907388e-16
+outcome,count
+1,6
+2,954
+3,6
+4,9
+5,6
+6,6
+7,7
+8,6
+"""
+
+GOLDEN_SIMULATE_JSON = """\
+{
+  "n": 3,
+  "target": 2,
+  "t": 2,
+  "p_simulated": 0.9453124999999998,
+  "p_closed_form": 0.9453125000000001,
+  "difference": -3.3306690738754696e-16,
+  "seed": 7,
+  "shots": 1000,
+  "histogram": {
+    "1": 6,
+    "2": 954,
+    "3": 6,
+    "4": 9,
+    "5": 6,
+    "6": 6,
+    "7": 7,
+    "8": 6
+  }
+}
+"""
+
+GOLDEN_FACTOR_TEXT = """\
+factor               11
+cofactor             13
+t_used               3
+p_predicted          0.961318969727
+empirical_frequency  0.9625
+modal_candidate      11
+shots                10000
+seed                 1
+"""
+
+GOLDEN_FACTOR_JSON = """\
+{
+  "m": 143,
+  "factor": 11,
+  "cofactor": 13,
+  "t_used": 3,
+  "p_predicted": 0.9613189697265625,
+  "empirical_frequency": 0.9625,
+  "modal_candidate": 11,
+  "shots": 10000,
+  "seed": 1,
+  "histogram": {
+    "1": 24,
+    "2": 24,
+    "3": 26,
+    "4": 28,
+    "5": 21,
+    "6": 24,
+    "7": 32,
+    "8": 18,
+    "9": 27,
+    "10": 27,
+    "11": 26,
+    "12": 9625,
+    "13": 25,
+    "14": 26,
+    "15": 29,
+    "16": 18
+  }
+}
+"""
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -96,6 +178,22 @@ class TestSimulate:
         capsys.readouterr()
         assert code == 0
         assert peak <= 32 * 2**18
+
+    def test_peak_memory_with_shots_adds_one_float_vector(self, capsys):
+        # sampling squares and accumulates |amplitude| in one float array, 8 B per
+        # amplitude next to the 16 B complex state; the slack covers imports and shots
+        tracemalloc.start()
+        try:
+            code = main([
+                "simulate", "--n", "18", "--target", "3", "--t", "10",
+                "--shots", "1000", "--json",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 24 * 2**18 + 2 * 2**20
 
     def test_unknown_option_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--frobnicate")
@@ -268,3 +366,46 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "seed" in err and "Traceback" not in err
+
+    def test_t_max_beyond_one_period_at_the_cap_is_usage_error(self, capsys):
+        # T2.3 costs about 8 ms per t on the default grid: --t-max 1000000 was hours
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--t-max", "6434")
+        assert code == 1
+        assert out == ""
+        assert "t_max must be in 1..6433" in err and "Traceback" not in err
+        assert time.perf_counter() - started < 1.0
+
+
+SIMULATE_N3 = ["simulate", "--n", "3", "--target", "2", "--t", "2", "--shots", "1000", "--seed", "7"]
+FACTOR_143 = ["factor", "--m", "143", "--seed", "1", "--shots", "10000"]
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (SIMULATE_N3, GOLDEN_SIMULATE_TEXT),
+        (SIMULATE_N3 + ["--json"], GOLDEN_SIMULATE_JSON),
+        (FACTOR_143, GOLDEN_FACTOR_TEXT),
+        (FACTOR_143 + ["--json"], GOLDEN_FACTOR_JSON),
+    ],
+    ids=["simulate-text", "simulate-json", "factor-text", "factor-json"],
+)
+def test_report_bytes_are_pinned(capsys, args, golden):
+    assert run_cli(capsys, *args) == (0, golden, "")
+
+
+# 10**15 shots used to die in numpy with "Unable to allocate 7.11 PiB"
+@pytest.mark.parametrize("shots", [10**15, 2**24 + 1])
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--n", "3", "--target", "2", "--t", "1"], ["factor", "--m", "143"]],
+    ids=["simulate", "factor"],
+)
+def test_shots_beyond_the_cap_is_usage_error(capsys, command, shots):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, "--shots", str(shots))
+    assert code == 1
+    assert out == ""
+    assert "--shots must be at most 16777216" in err and "Traceback" not in err
+    assert time.perf_counter() - started < 1.0

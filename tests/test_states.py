@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groversim.grover import uniform_superposition
 from groversim.linalg import DimensionMismatchError, is_unitary, matmul, tensor_product_list
@@ -24,7 +26,7 @@ from groversim.states import (
     sample_measurement,
 )
 
-from oracles import kron_fold, random_structured_unitary
+from oracles import counter_histogram, kron_fold, random_structured_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -281,6 +283,28 @@ class TestSampling:
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_measurement(basis_state(1, 1), rng_seed=1, shots=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        state_seed=st.integers(0, 2**32 - 1),
+        sparse=st.booleans(),
+        rng_seed=st.integers(0, 2**64),
+        shots=st.integers(1, 5000),
+    )
+    def test_histogram_matches_the_counter_reference_in_label_order(
+        self, n, state_seed, sparse, rng_seed, shots
+    ):
+        rng = np.random.default_rng(state_seed)
+        v = random_qstate(n, rng).amplitudes.copy()
+        if sparse:  # zeros make flat CDF steps, which both samplers must skip alike
+            v[rng.random(v.shape[0]) < 0.7] = 0.0
+            v[rng.integers(v.shape[0])] += 1.0
+            v /= np.linalg.norm(v)
+        q = make_qstate(v)
+        hist = sample_measurement(q, rng_seed, shots)
+        assert hist == counter_histogram(q.amplitudes, rng_seed, shots)
+        assert list(hist) == sorted(hist)
 
 
 def test_random_qstate_is_normalized():

@@ -133,4 +133,6 @@ def test_config_bounds():
     with pytest.raises(ValueError):
         VerificationConfig(t_max=0)
     with pytest.raises(ValueError):
+        VerificationConfig(t_max=6434)  # past one period at the 24-qubit cap
+    with pytest.raises(ValueError):
         VerificationConfig(seed=-1)
