@@ -1,7 +1,7 @@
 """Quantum states, the Hadamard gate, projectors and measurement.
 
-A :class:`QState` wraps a read-only complex amplitude vector of dimension
-``2**n`` that must have unit squared norm; construction rejects anything
+A :class:`QState` wraps a read-only real or complex amplitude vector of
+dimension ``2**n`` with unit squared norm; construction rejects anything
 else, non-finite entries included, rather than silently renormalizing.
 Basis outcomes are labelled 1-based (labels 1 .. 2^n), matching the
 convention used throughout the package; storage index is always
@@ -32,20 +32,20 @@ def _n_qubits_for_dim(dim: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class QState:
-    """Pure n-qubit state: 2^n complex amplitudes with unit squared norm."""
+    """Pure n-qubit state: 2^n real or complex amplitudes with unit squared norm."""
 
     n_qubits: int
     amplitudes: np.ndarray
 
 
 def make_qstate(v) -> QState:
-    """Wrap a private complex copy of a vector as a QState, rejecting non-normalized input.
+    """Wrap a private copy of a vector as a QState, rejecting non-normalized input.
 
-    The norm gate is also the finiteness check: a NaN or infinite entry makes
-    the squared norm NaN or infinite, and ``not <= NORM_TOL`` rejects both
-    (``> NORM_TOL`` would let NaN through).
+    The copy is float64 for real input, complex128 otherwise.  The norm gate
+    is also the finiteness check: a NaN or infinite entry makes the squared
+    norm NaN or infinite; ``not <= NORM_TOL`` rejects both, ``>`` lets NaN pass.
     """
-    amps = np.array(v, dtype=np.complex128)
+    amps = np.array(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64)
     if amps.ndim != 1:
         raise ValueError(f"expected a 1-d array, got shape {amps.shape}")
     n = _n_qubits_for_dim(amps.shape[0])

@@ -63,9 +63,11 @@ _ERROR_RESIDUAL = 1e300
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one registered check."""
+    """Outcome of one registered check; its fields, in order, are a report row."""
 
-    check_id: str
+    id: str
+    theorem: str
+    quote: str
     params: dict[str, Any]
     passed: bool
     worst_residual: float
@@ -389,15 +391,14 @@ REGISTRY: dict[str, CheckSpec] = {spec.check_id: spec for spec in _SPECS}
 CHECK_IDS: tuple[str, ...] = tuple(spec.check_id for spec in _SPECS)
 
 
-def run_check(check_id: str, config: VerificationConfig | None = None) -> CheckResult:
-    """Run one registered check on ``config``'s grid.
+def run_check(check_id: str, cfg: VerificationConfig) -> CheckResult:
+    """Run one registered check on ``cfg``'s grid.
 
     Unknown check ids raise ValueError.
     """
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
     spec = REGISTRY[check_id]
-    cfg = config if config is not None else VerificationConfig()
     tolerance = float(cfg.tolerances.get(check_id, spec.tolerance))
     # derived per check so parallel checks never share a stream
     seed = cfg.seed + 1000 * CHECK_IDS.index(check_id)
@@ -412,7 +413,9 @@ def run_check(check_id: str, config: VerificationConfig | None = None) -> CheckR
     echo["seed"] = seed
     echo["tolerance"] = tolerance
     return CheckResult(
-        check_id=check_id,
+        id=check_id,
+        theorem=spec.title,
+        quote=spec.statement,
         params=echo,
         passed=worst < tolerance,
         worst_residual=worst,
@@ -424,6 +427,7 @@ def run_check(check_id: str, config: VerificationConfig | None = None) -> CheckR
 class VerificationReport:
     """All check results of one harness run plus the config that produced them."""
 
+    schema_version: str = field(default="1", init=False)
     config: VerificationConfig
     results: tuple[CheckResult, ...]
 
@@ -440,39 +444,22 @@ class VerificationReport:
         return self.failed_count == 0
 
     def failed_ids(self) -> list[str]:
-        return [r.check_id for r in self.results if not r.passed]
+        return [r.id for r in self.results if not r.passed]
 
     def to_json_dict(self) -> dict[str, Any]:
-        results = []
-        for r in self.results:
-            spec = REGISTRY[r.check_id]
-            results.append(
-                {
-                    "id": r.check_id,
-                    "theorem": spec.title,
-                    "quote": spec.statement,
-                    "params": r.params,
-                    "passed": r.passed,
-                    "worst_residual": r.worst_residual,
-                    "elapsed_ms": r.elapsed_ms,
-                }
-            )
         return {
-            "schema_version": "1",
-            "config": asdict(self.config),
-            "results": results,
+            **asdict(self),
             "summary": {"passed": self.passed_count, "failed": self.failed_count},
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False)
 
 
-def run_all(config: VerificationConfig | None = None) -> VerificationReport:
+def run_all(cfg: VerificationConfig) -> VerificationReport:
     """Run every registered check and aggregate a report.
 
     Check failures are recorded in the report, never raised.
     """
-    cfg = config if config is not None else VerificationConfig()
-    results = tuple(run_check(check_id, config=cfg) for check_id in CHECK_IDS)
+    results = tuple(run_check(check_id, cfg) for check_id in CHECK_IDS)
     return VerificationReport(config=cfg, results=results)

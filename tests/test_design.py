@@ -1,9 +1,14 @@
 """Design rules of the package that its behaviour does not show."""
 
 import ast
+import importlib.util
+import inspect
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "groversim"
+from groversim.verification import CHECK_IDS
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "groversim"
 
 #: Names kept although no code in the package uses them: the paper's Grover
 #: step, whose unitarity the tests check, and the package version.
@@ -50,3 +55,58 @@ def test_every_top_level_name_is_used_in_src():
             if not used:
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+#: Names the benchmark tracer still wraps or reports although they were
+#: deleted from the package; their per-layer rows read 0 until they go.
+DELETED_FROM_SRC = {
+    "grover._simulate_matrix", "linalg.matrix_pow", "states.evolve", "states.n_hadamard",
+}
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _imported_elsewhere(layers, span):
+    # the tracer wraps a function where another groversim module imported it
+    layer, _, name = span.partition(".")
+    home = importlib.import_module(f"groversim.{layer}")
+    fn = vars(home).get(name)
+    if not inspect.isfunction(fn) or fn.__module__ != home.__name__:
+        return False
+    return any(
+        vars(importlib.import_module(f"groversim.{other}")).get(name) is fn
+        for other in layers
+        if other != layer
+    )
+
+
+def test_every_tracer_hook_names_a_function_of_the_package():
+    # a rename in src/ would otherwise turn a per-layer row into a silent 0
+    tracer = _load_tracer()
+    hooks = {
+        span: f"{layer}.{attr}"
+        for layer, names in tracer.OWN_NAMESPACE.items()
+        for attr, span in names.items()
+    }
+    hooks["cli.main"] = "cli.main"
+    unresolved = set()
+    for hook in hooks.values():
+        layer, _, attr = hook.partition(".")
+        if not hasattr(importlib.import_module(f"groversim.{layer}"), attr):
+            unresolved.add(hook)
+    for metric, _unit in tracer.PER_LAYER:
+        span, _, field = metric.rpartition(".")
+        if field not in tracer._SPAN_FIELDS and field != "peak_mb":
+            continue  # a count or a maximum, not a span
+        check_id = span.removeprefix("verification.run_check.")
+        if check_id != span:
+            assert check_id in CHECK_IDS
+            span = "verification.run_check"
+        if span not in hooks and not _imported_elsewhere(tracer.LAYERS, span):
+            unresolved.add(span)
+    assert unresolved == DELETED_FROM_SRC

@@ -35,7 +35,7 @@ def test_registry_contains_exactly_the_expected_checks():
 
 
 def test_hadamard_check_passes():
-    result = run_check("T1.9")
+    result = run_check("T1.9", VerificationConfig())
     assert result.passed
     assert result.worst_residual < 1e-10
 
@@ -58,7 +58,7 @@ def test_periodicity_check_with_explicit_seed():
 
 def test_unknown_check_id_rejected():
     with pytest.raises(ValueError, match="unknown check id"):
-        run_check("T9.9")
+        run_check("T9.9", VerificationConfig())
 
 
 def test_tolerance_override_can_fail_a_passing_check():
