@@ -92,7 +92,7 @@ def cli() -> None:
 def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None:
     """Simulate t iterations and report simulated vs closed-form success probability.
 
-    Every qubit count runs the O(2^n)-per-iteration vector kernel.
+    Every qubit count runs the same O(n)-per-iteration two-value kernel.
     """
     _require(1 <= n_qubits <= KERNEL_QUBIT_CAP, f"--n must be in 1..{KERNEL_QUBIT_CAP}")
     _require(1 <= target <= 2**n_qubits, f"--target must be in 1..{2 ** n_qubits}")

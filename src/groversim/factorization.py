@@ -26,8 +26,9 @@ from .grover import (
     optimal_iterations,
     state_after_iterations,
     success_probability,
+    two_valued_state,
 )
-from .states import make_qstate, measurement_probability, sample_measurement
+from .states import measurement_probability, sample_measurement
 
 
 #: Smallest modulus whose candidate range [2, floor(sqrt(m))] needs more than
@@ -158,10 +159,10 @@ def probability_curve(inst: GroverInstance, t_max: int | None = None) -> list[Cu
     return [
         CurvePoint(
             t=t,
-            p_simulated=measurement_probability(make_qstate(amps), inst.target),
+            p_simulated=measurement_probability(two_valued_state(inst, other, tau), inst.target),
             p_closed_form=success_probability(angles, t),
         )
-        for t, amps in zip(range(t_max + 1), kernel_steps(inst))
+        for t, (other, tau) in zip(range(t_max + 1), kernel_steps(inst))
     ]
 
 

@@ -3,10 +3,11 @@
 The operators are built literally as dense matrices (oracle, diffusion and
 the Grover step G = D U_f) so that the paper's claims about them can be
 checked.  Simulation does not use them: ``kernel_steps`` is the one stepping
-loop, an O(2^n)-per-step vector kernel (sign flip at the target, then
-inversion about the mean) that yields the amplitudes after every step, at
-every qubit count up to ``KERNEL_QUBIT_CAP``.  ``plane_state`` builds
-cos(a)|tau_perp> + sin(a)|tau>; the closed form is a = (2t+1) theta.
+loop.  A step (sign flip at the target, then inversion about the mean) treats
+every non-target amplitude alike, so the state only ever holds two values;
+the kernel steps those two, O(n) per step and bit for bit the 2^n vector's
+result, at every qubit count up to ``KERNEL_QUBIT_CAP``.  ``plane_state``
+builds cos(a)|tau_perp> + sin(a)|tau>; the closed form is a = (2t+1) theta.
 
 All angles derive from theta = arcsin(1/sqrt(N)) for a search space of size
 N = 2^n; the success probability after t iterations is sin^2((2t+1) theta),
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import matmul
-from .states import QState, make_qstate
+from .states import QState, adopt_qstate, make_qstate
 
-#: Qubit ceiling for the vector kernel (memory-bound, enforced by the CLI).
+#: Qubit ceiling for simulation (bound by the 2^n state, enforced by the CLI).
 KERNEL_QUBIT_CAP = 24
 
 # Rounding slack on t_real: snaps N=4's t_real to exactly 1, and lets the
@@ -114,24 +115,53 @@ def uniform_superposition(n_qubits: int) -> QState:
     return make_qstate(np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
 
-def kernel_steps(inst: GroverInstance) -> Iterator[np.ndarray]:
-    """Real amplitudes after 0, 1, 2, ... Grover steps from the uniform superposition.
+def two_valued_state(inst: GroverInstance, other: float, tau: float) -> QState:
+    """The state with amplitude ``tau`` at the target and ``other`` everywhere else."""
+    v = np.full(inst.n_states, other)
+    v[inst.target - 1] = tau
+    return adopt_qstate(v)
 
-    Each step of the vector kernel flips the sign of the target amplitude,
-    then reflects every amplitude about the mean: O(2^n) per step, in place in
-    one buffer for the whole pass, so a yielded array is valid only until the
-    next one is drawn.
+
+def _mean(inst: GroverInstance, other: float, tau: float) -> float:
+    """``two_valued_state(inst, other, tau).amplitudes.mean()``, bit for bit, in O(n).
+
+    numpy sums a contiguous float64 array pairwise: leaves of 128 elements
+    (its PW_BLOCKSIZE) joined up a binary tree of halves.  numpy itself sums
+    the all-``other`` leaf and the leaf holding ``tau``; each level up joins
+    an all-``other`` sibling, exactly 2^k times the leaf since doubling is
+    exact.  For N <= 128 the leaf is the whole vector.  ``TestTwoValueKernel``
+    in ``tests/test_grover.py`` pins this against the vector loop.
     """
-    amps = np.full(inst.n_states, 1.0 / math.sqrt(inst.n_states))
-    flip = inst.target - 1
+    size = min(inst.n_states, 128)
+    leaf = np.full(size, other)
+    plain = leaf.sum()
+    leaf[(inst.target - 1) % size] = tau
+    total = leaf.sum()
+    while size < inst.n_states:
+        total += plain
+        plain += plain
+        size *= 2
+    return total / inst.n_states
+
+
+def kernel_steps(inst: GroverInstance) -> Iterator[tuple[float, float]]:
+    """(other, tau) after 0, 1, 2, ... Grover steps from the uniform superposition.
+
+    ``tau`` is the target amplitude and ``other`` every other one.  A step
+    flips the target's sign and reflects every amplitude about the mean:
+    other -> 2m - other and -tau -> 2m + tau, with the mean m taken by
+    ``_mean`` exactly as numpy takes it over the 2^n vector.  So the pair is
+    bit for bit the vector loop's amplitudes, at O(n) per step.
+    """
+    other = tau = 1.0 / math.sqrt(inst.n_states)
     while True:
-        yield amps
-        amps[flip] = -amps[flip]
-        np.subtract(2.0 * amps.mean(), amps, out=amps)
+        yield other, tau
+        two_mean = 2.0 * _mean(inst, other, -tau)
+        other, tau = two_mean - other, two_mean + tau
 
 
 def _simulate_kernel(inst: GroverInstance, t: int) -> QState:
-    return make_qstate(next(itertools.islice(kernel_steps(inst), t, None)))
+    return two_valued_state(inst, *next(itertools.islice(kernel_steps(inst), t, None)))
 
 
 def state_after_iterations(inst: GroverInstance, t: int) -> QState:
@@ -148,9 +178,9 @@ def plane_state(inst: GroverInstance, angle: float) -> QState:
     superposition of all the others, so ``plane_state(inst, 0.0)`` is
     |tau_perp> itself.
     """
-    v = np.full(inst.n_states, math.cos(angle) * (1.0 / math.sqrt(inst.n_states - 1)))
-    v[inst.target - 1] = math.sin(angle)
-    return make_qstate(v)
+    return two_valued_state(
+        inst, math.cos(angle) * (1.0 / math.sqrt(inst.n_states - 1)), math.sin(angle)
+    )
 
 
 def closed_form_state(inst: GroverInstance, t: int) -> QState:
@@ -240,6 +270,6 @@ def max_t_in_period(angles: GroverAngles) -> int:
 
 
 #: Largest iteration count ``simulate`` and ``verify`` accept: one period of
-#: p_t at the qubit cap (6433); a larger t only repeats the curve, at up to
-#: hours of kernel time.
+#: p_t at the qubit cap (6433).  A larger t only repeats the curve.  The kernel
+#: no longer takes hours to step that far; the limit stays as the usage contract.
 T_LIMIT = max_t_in_period(grover_angles(2**KERNEL_QUBIT_CAP))

@@ -8,7 +8,7 @@ boundary, so basis label ``i`` always means storage index ``i - 1``.
 Matrices are validated on entry by :func:`as_matrix`, which rejects
 non-finite entries (NaN/Inf); shape mismatches raise
 :class:`DimensionMismatchError`.  Vectors are validated where they become
-states, by :func:`groversim.states.make_qstate`.
+states, by :func:`groversim.states.adopt_qstate`.
 """
 
 from __future__ import annotations

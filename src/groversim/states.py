@@ -38,14 +38,14 @@ class QState:
     amplitudes: np.ndarray
 
 
-def make_qstate(v) -> QState:
-    """Wrap a private copy of a vector as a QState, rejecting non-normalized input.
+def adopt_qstate(amps: np.ndarray) -> QState:
+    """Validate a fresh float64 or complex128 vector and freeze it as a QState.
 
-    The copy is float64 for real input, complex128 otherwise.  The norm gate
-    is also the finiteness check: a NaN or infinite entry makes the squared
-    norm NaN or infinite; ``not <= NORM_TOL`` rejects both, ``>`` lets NaN pass.
+    The caller hands ``amps`` over: it becomes the state's read-only
+    amplitudes without a copy.  The norm gate is also the finiteness check:
+    a NaN or infinite entry makes the squared norm NaN or infinite;
+    ``not <= NORM_TOL`` rejects both, ``>`` lets NaN pass.
     """
-    amps = np.array(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64)
     if amps.ndim != 1:
         raise ValueError(f"expected a 1-d array, got shape {amps.shape}")
     n = _n_qubits_for_dim(amps.shape[0])
@@ -56,6 +56,15 @@ def make_qstate(v) -> QState:
         )
     amps.setflags(write=False)
     return QState(n_qubits=n, amplitudes=amps)
+
+
+def make_qstate(v) -> QState:
+    """Wrap a private copy of a vector as a QState, rejecting non-normalized input.
+
+    The copy is float64 for real input, complex128 otherwise; ``adopt_qstate``
+    validates it.
+    """
+    return adopt_qstate(np.array(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64))
 
 
 def basis_state(n_qubits: int, label: int) -> QState:

@@ -44,6 +44,7 @@ from .grover import (
     oracle,
     plane_state,
     success_probability,
+    two_valued_state,
     uniform_superposition,
 )
 from .linalg import (
@@ -53,9 +54,7 @@ from .linalg import (
     tensor_product_list,
     unitarity_residual,
 )
-from .states import (
-    basis_state, completeness_residual, hadamard, make_qstate, projector, random_qstate
-)
+from .states import basis_state, completeness_residual, hadamard, projector, random_qstate
 
 # Residual recorded when a check body raises instead of measuring.
 _ERROR_RESIDUAL = 1e300
@@ -227,11 +226,11 @@ def _check_closed_form(cfg: VerificationConfig, seed: int) -> tuple[float, dict]
             g = diffusion_op(n) @ oracle(inst)
             # G^t by left multiplication, one factor per t
             g_pow = np.eye(1 << n, dtype=np.complex128)
-            for t, amps in zip(range(cfg.t_max + 1), kernel_steps(inst)):
+            for t, (other, tau) in zip(range(cfg.t_max + 1), kernel_steps(inst)):
                 closed = closed_form_state(inst, t).amplitudes
                 sim_matrix = g_pow @ start
                 worst = max(worst, float(np.abs(sim_matrix - closed).max()))
-                kernel = make_qstate(amps).amplitudes
+                kernel = two_valued_state(inst, other, tau).amplitudes
                 worst = max(worst, float(np.abs(kernel - closed).max()))
                 g_pow = g @ g_pow
     return worst, {

@@ -5,13 +5,16 @@ Kronecker oracles fold ``np.kron`` left to right or evaluate the bit-index
 product formula level by level, where the package folds broadcast products
 from the right, and the matvec oracle is a plain double loop.  The sampling
 reference keeps the sampler's first form: out-of-place square and cumulative
-sum, and a ``Counter`` of the drawn labels.
+sum, and a ``Counter`` of the drawn labels.  The kernel reference keeps the
+first kernel: it steps the whole 2^n vector, where the package steps the two
+values that vector holds.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -82,3 +85,19 @@ def counter_histogram(amplitudes, rng_seed: int, shots: int) -> Counter:
     cdf[-1] = 1.0
     draws = np.random.default_rng(rng_seed).random(shots)
     return Counter((np.searchsorted(cdf, draws, side="right") + 1).tolist())
+
+
+def vector_kernel_steps(inst) -> Iterator[np.ndarray]:
+    """Real amplitudes after 0, 1, 2, ... Grover steps from the uniform superposition.
+
+    Each step of the vector kernel flips the sign of the target amplitude,
+    then reflects every amplitude about the mean: O(2^n) per step, in place in
+    one buffer for the whole pass, so a yielded array is valid only until the
+    next one is drawn.
+    """
+    amps = np.full(inst.n_states, 1.0 / math.sqrt(inst.n_states))
+    flip = inst.target - 1
+    while True:
+        yield amps
+        amps[flip] = -amps[flip]
+        np.subtract(2.0 * amps.mean(), amps, out=amps)

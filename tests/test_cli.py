@@ -169,8 +169,8 @@ class TestSimulate:
         assert "--seed" in err and "Traceback" not in err
 
     def test_peak_memory_is_one_state_vector(self, capsys):
-        # the kernel's float vector plus make_qstate's real copy: 16 B per
-        # amplitude; reading the target's probability must not add another vector
+        # the kernel hands its one float vector to the state without a copy:
+        # 8 B per amplitude; reading the target's probability adds no other
         tracemalloc.start()
         try:
             code = main(["simulate", "--n", "18", "--target", "3", "--t", "10", "--json"])
@@ -179,7 +179,7 @@ class TestSimulate:
             tracemalloc.stop()
         capsys.readouterr()
         assert code == 0
-        assert peak <= 16 * 2**18 + 64 * 1024
+        assert peak <= 8 * 2**18 + 64 * 1024
 
     def test_peak_memory_with_shots_adds_one_float_vector(self, capsys):
         # sampling squares and accumulates |amplitude| in one float array, 8 B per

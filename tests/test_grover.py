@@ -1,5 +1,6 @@
 """Tests for Grover operators, the simulation kernel and iteration analytics."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -25,10 +26,12 @@ from groversim.grover import (
     plane_state,
     state_after_iterations,
     success_probability,
+    two_valued_state,
     uniform_superposition,
 )
 from groversim.linalg import is_unitary
 from groversim.states import basis_state, measurement_probability
+from oracles import vector_kernel_steps
 
 # sin^2(7 * arcsin(1/4)): sin(7x) is an odd integer polynomial in sin(x), so
 # the value is the exact dyadic rational (251/256)^2 = 63001/65536
@@ -213,10 +216,11 @@ class TestSimulationPaths:
         basis = basis_state(n, inst.target)
         rows = probability_curve(inst, t_max)
         assert len(rows) == t_max + 1
-        for row, amps in zip(rows, kernel_steps(inst)):
+        for row, (other, tau) in zip(rows, kernel_steps(inst)):
             restarted = state_after_iterations(inst, row.t)
             assert row.p_simulated == measurement_probability(restarted, inst.target)
-            assert np.array_equal(amps, restarted.amplitudes)
+            built = two_valued_state(inst, other, tau)
+            assert np.array_equal(built.amplitudes, restarted.amplitudes)
         alpha = data.draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
         summed = (
             math.cos(alpha) * plane_state(inst, 0.0).amplitudes
@@ -248,9 +252,8 @@ class TestSimulationPaths:
         assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-11
         assert np.abs(amps - closed_form_state(inst, t).amplitudes).max() <= 1e-12
 
-    @pytest.mark.slow
     def test_drift_at_the_qubit_cap_stays_inside_its_margin(self):
-        # measured 1.87e-11 and 3.7e-15 against the 1e-10 make_qstate gate
+        # measured 4.67e-12 and 3.66e-15 against the 1e-10 make_qstate gate
         inst = GroverInstance(24, 12345)
         t = optimal_iterations(grover_angles(inst.n_states)).t_best
         assert t == 3216
@@ -266,8 +269,8 @@ class TestSimulationPaths:
         assert gap <= 1e-13
 
     def test_kernel_holds_one_vector(self):
-        # the step updates its buffer in place: no second 2^n array lives
-        # beside it, so the peak stays at one float64 vector plus a little
+        # the generator steps two floats, not even one 2^n vector: the peak
+        # is the 128-element leaf of _mean and a little more
         inst = GroverInstance(18, 3)
         tracemalloc.start()
         try:
@@ -277,7 +280,7 @@ class TestSimulationPaths:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * inst.n_states + 64 * 1024
+        assert peak <= 64 * 1024
 
     def test_sixteen_state_probability_after_three_steps(self):
         inst = GroverInstance(4, 11)
@@ -301,6 +304,47 @@ class TestSimulationPaths:
         for t in range(0, 50, 7):
             amps = closed_form_state(inst, t).amplitudes
             assert abs(np.vdot(amps, amps).real - 1.0) < 1e-12
+
+
+def _at_step(steps, t):
+    return next(itertools.islice(steps, t, None))
+
+
+class TestTwoValueKernel:
+    """``kernel_steps`` against the vector loop it replaced, bit for bit."""
+
+    @staticmethod
+    def assert_every_step_matches(inst, t_max):
+        for t, (other, tau), amps in zip(
+            range(t_max + 1), kernel_steps(inst), vector_kernel_steps(inst)
+        ):
+            assert np.array_equal(two_valued_state(inst, other, tau).amplitudes, amps), t
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_step_matches_the_vector_loop(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        inst = GroverInstance(n, data.draw(st.integers(min_value=1, max_value=1 << n)))
+        self.assert_every_step_matches(inst, max_t_in_period(grover_angles(inst.n_states)))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_targets_at_the_summation_leaf_boundary(self, n):
+        # numpy's pairwise sum has 128-element leaves: n=7 is one leaf, n=8 two
+        for target in sorted({1, 128, 129, 1 << n} & set(range(1, (1 << n) + 1))):
+            inst = GroverInstance(n, target)
+            self.assert_every_step_matches(inst, max_t_in_period(grover_angles(inst.n_states)))
+
+    def test_twenty_qubits_at_the_optimum(self):
+        inst = GroverInstance(20, 777_777)
+        amps = _at_step(vector_kernel_steps(inst), 804)
+        assert np.array_equal(state_after_iterations(inst, 804).amplitudes, amps)
+
+    @pytest.mark.slow
+    def test_the_qubit_cap_at_the_optimum(self):
+        # about 110 s: the vector loop reads the 128 MB vector 3 times a step
+        inst = GroverInstance(24, 12345)
+        amps = _at_step(vector_kernel_steps(inst), 3216)
+        assert np.array_equal(state_after_iterations(inst, 3216).amplitudes, amps)
 
 
 class TestPlaneRotation:
