@@ -28,10 +28,12 @@ from .grover import (
     GroverInstance,
     grover_angles,
     optimal_iterations,
-    state_after_iterations,
+    pair_after_iterations,
     success_probability,
+    target_probability,
+    two_valued_state,
 )
-from .states import measurement_probability, sample_measurement
+from .states import sample_measurement
 from .verification import VerificationConfig, run_all
 
 
@@ -92,7 +94,9 @@ def cli() -> None:
 def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None:
     """Simulate t iterations and report simulated vs closed-form success probability.
 
-    Every qubit count runs the same O(n)-per-iteration two-value kernel.
+    Every qubit count runs the same O(n)-per-iteration two-value kernel, and
+    the probability is read from its two amplitude values.  Only --shots
+    builds the 2^n state vector, to sample from it.
     """
     _require(1 <= n_qubits <= KERNEL_QUBIT_CAP, f"--n must be in 1..{KERNEL_QUBIT_CAP}")
     _require(1 <= target <= 2**n_qubits, f"--target must be in 1..{2 ** n_qubits}")
@@ -107,14 +111,14 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
     _require(output is None or shots is not None, "--output requires --shots")
 
     inst = GroverInstance(n_qubits, target)
-    state = state_after_iterations(inst, iterations)
-    p_sim = measurement_probability(state, target)
+    other, tau = pair_after_iterations(inst, iterations)
+    p_sim = target_probability(inst, other, tau)
     p_closed = success_probability(grover_angles(inst.n_states), iterations)
 
     histogram = None
     extra = None
     if shots is not None:
-        histogram = sample_measurement(state, seed, shots)
+        histogram = sample_measurement(two_valued_state(inst, other, tau), seed, shots)
         extra = {"seed": seed, "shots": shots, "histogram": histogram}
 
     _report(

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .grover import (
     KERNEL_QUBIT_CAP,
     GroverInstance,
@@ -26,14 +28,17 @@ from .grover import (
     optimal_iterations,
     state_after_iterations,
     success_probability,
-    two_valued_state,
+    target_probability,
 )
-from .states import measurement_probability, sample_measurement
+from .states import sample_measurement
 
 
 #: Smallest modulus whose candidate range [2, floor(sqrt(m))] needs more than
 #: ``KERNEL_QUBIT_CAP`` qubits.
 MODULUS_LIMIT = 1 << (2 * KERNEL_QUBIT_CAP)
+
+#: Candidates tested per numpy pass of the divisor scan: 512 KiB of int64.
+_DIVISOR_CHUNK = 1 << 16
 
 
 class NoSolutionError(ValueError):
@@ -45,8 +50,13 @@ class MultipleSolutionsError(ValueError):
 
 
 def _divisors_in_range(m: int) -> list[int]:
-    root = math.isqrt(m)
-    return [d for d in range(2, root + 1) if m % d == 0]
+    """Every divisor of ``m`` in [2, floor(sqrt(m))], ascending; int64 is exact below 2**63."""
+    stop = math.isqrt(m) + 1
+    divisors = []
+    for lo in range(2, stop, _DIVISOR_CHUNK):
+        candidates = np.arange(lo, min(lo + _DIVISOR_CHUNK, stop), dtype=np.int64)
+        divisors += candidates[m % candidates == 0].tolist()
+    return divisors
 
 
 def build_factor_instance(m: int) -> GroverInstance:
@@ -159,7 +169,7 @@ def probability_curve(inst: GroverInstance, t_max: int | None = None) -> list[Cu
     return [
         CurvePoint(
             t=t,
-            p_simulated=measurement_probability(two_valued_state(inst, other, tau), inst.target),
+            p_simulated=target_probability(inst, other, tau),
             p_closed_form=success_probability(angles, t),
         )
         for t, (other, tau) in zip(range(t_max + 1), kernel_steps(inst))

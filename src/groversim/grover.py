@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import matmul
-from .states import QState, adopt_qstate, make_qstate
+from .states import QState, adopt_qstate, make_qstate, require_unit_norm
 
 #: Qubit ceiling for simulation (bound by the 2^n state, enforced by the CLI).
 KERNEL_QUBIT_CAP = 24
@@ -122,26 +122,28 @@ def two_valued_state(inst: GroverInstance, other: float, tau: float) -> QState:
     return adopt_qstate(v)
 
 
-def _mean(inst: GroverInstance, other: float, tau: float) -> float:
-    """``two_valued_state(inst, other, tau).amplitudes.mean()``, bit for bit, in O(n).
+def _mean(n_states: int, leaves: np.ndarray, slot: int, other: float, tau: float) -> float:
+    """numpy's ``mean`` of the N-vector holding ``tau`` at the target and ``other``
+    elsewhere, bit for bit, in O(n).
 
     numpy sums a contiguous float64 array pairwise: leaves of 128 elements
     (its PW_BLOCKSIZE) joined up a binary tree of halves.  numpy itself sums
-    the all-``other`` leaf and the leaf holding ``tau``; each level up joins
-    an all-``other`` sibling, exactly 2^k times the leaf since doubling is
-    exact.  For N <= 128 the leaf is the whole vector.  ``TestTwoValueKernel``
-    in ``tests/test_grover.py`` pins this against the vector loop.
+    the all-``other`` leaf and the leaf holding ``tau`` at ``slot``, as the
+    two rows of the ``(2, leaf)`` buffer ``leaves`` in one reduce; each level
+    up joins an all-``other`` sibling, exactly 2^k times the leaf since
+    doubling is exact.  For N <= 128 the leaf is the whole vector.
+    ``TestTwoValueKernel`` in ``tests/test_grover.py`` pins this against the
+    vector loop.
     """
-    size = min(inst.n_states, 128)
-    leaf = np.full(size, other)
-    plain = leaf.sum()
-    leaf[(inst.target - 1) % size] = tau
-    total = leaf.sum()
-    while size < inst.n_states:
+    leaves.fill(other)
+    leaves[1, slot] = tau
+    plain, total = np.add.reduce(leaves, axis=1).tolist()
+    size = leaves.shape[1]
+    while size < n_states:
         total += plain
         plain += plain
         size *= 2
-    return total / inst.n_states
+    return total / n_states
 
 
 def kernel_steps(inst: GroverInstance) -> Iterator[tuple[float, float]]:
@@ -153,21 +155,42 @@ def kernel_steps(inst: GroverInstance) -> Iterator[tuple[float, float]]:
     ``_mean`` exactly as numpy takes it over the 2^n vector.  So the pair is
     bit for bit the vector loop's amplitudes, at O(n) per step.
     """
-    other = tau = 1.0 / math.sqrt(inst.n_states)
+    n_states = inst.n_states
+    leaves = np.empty((2, min(n_states, 128)))
+    slot = (inst.target - 1) % leaves.shape[1]
+    other = tau = 1.0 / math.sqrt(n_states)
     while True:
         yield other, tau
-        two_mean = 2.0 * _mean(inst, other, -tau)
+        two_mean = 2.0 * _mean(n_states, leaves, slot, other, -tau)
         other, tau = two_mean - other, two_mean + tau
 
 
+def pair_after_iterations(inst: GroverInstance, t: int) -> tuple[float, float]:
+    """The kernel's (other, tau) after ``t`` Grover steps."""
+    if t < 0:
+        raise ValueError("iteration count must be non-negative")
+    return next(itertools.islice(kernel_steps(inst), t, None))
+
+
+def target_probability(inst: GroverInstance, other: float, tau: float) -> float:
+    """Born probability |tau|^2 of the target in the two-valued state (other, tau).
+
+    The pair passes the gate ``adopt_qstate`` puts on the 2^n vector it
+    stands for, computed from the two values: the squared norm is
+    (N - 1) other^2 + tau^2.  The probability is computed as
+    ``abs(amplitude) ** 2``, as on a state's amplitude, so it is bit for bit
+    the vector's.
+    """
+    require_unit_norm((inst.n_states - 1) * other * other + tau * tau)
+    return abs(tau) ** 2
+
+
 def _simulate_kernel(inst: GroverInstance, t: int) -> QState:
-    return two_valued_state(inst, *next(itertools.islice(kernel_steps(inst), t, None)))
+    return two_valued_state(inst, *pair_after_iterations(inst, t))
 
 
 def state_after_iterations(inst: GroverInstance, t: int) -> QState:
     """State after ``t`` Grover steps applied to the uniform superposition."""
-    if t < 0:
-        raise ValueError("iteration count must be non-negative")
     return _simulate_kernel(inst, t)
 
 

@@ -38,22 +38,29 @@ class QState:
     amplitudes: np.ndarray
 
 
-def adopt_qstate(amps: np.ndarray) -> QState:
-    """Validate a fresh float64 or complex128 vector and freeze it as a QState.
+def require_unit_norm(norm2: float) -> None:
+    """Raise NormalizationError unless the squared norm is within NORM_TOL of 1.
 
-    The caller hands ``amps`` over: it becomes the state's read-only
-    amplitudes without a copy.  The norm gate is also the finiteness check:
-    a NaN or infinite entry makes the squared norm NaN or infinite;
-    ``not <= NORM_TOL`` rejects both, ``>`` lets NaN pass.
+    This is also the finiteness check: a NaN or infinite amplitude makes the
+    squared norm NaN or infinite; ``not <= NORM_TOL`` rejects both, ``>``
+    lets NaN pass.
     """
-    if amps.ndim != 1:
-        raise ValueError(f"expected a 1-d array, got shape {amps.shape}")
-    n = _n_qubits_for_dim(amps.shape[0])
-    norm2 = float(np.vdot(amps, amps).real)
     if not abs(norm2 - 1.0) <= NORM_TOL:
         raise NormalizationError(
             f"squared norm {norm2!r} differs from 1 by more than {NORM_TOL}"
         )
+
+
+def adopt_qstate(amps: np.ndarray) -> QState:
+    """Validate a fresh float64 or complex128 vector and freeze it as a QState.
+
+    The caller hands ``amps`` over: it becomes the state's read-only
+    amplitudes without a copy.  ``require_unit_norm`` is its gate.
+    """
+    if amps.ndim != 1:
+        raise ValueError(f"expected a 1-d array, got shape {amps.shape}")
+    n = _n_qubits_for_dim(amps.shape[0])
+    require_unit_norm(float(np.vdot(amps, amps).real))
     amps.setflags(write=False)
     return QState(n_qubits=n, amplitudes=amps)
 
@@ -90,20 +97,14 @@ def projector(q: QState) -> np.ndarray:
 
 
 def completeness_residual(n_qubits: int) -> float:
-    """Max-norm of (sum over all basis projectors) - identity."""
+    """Max-norm of (sum over all basis projectors) - identity.
+
+    The sum of the projectors |i><i| is the one product K^T conj(K) of the
+    stacked basis kets K; every entry is 0 or 1, so it is exact in any order.
+    """
     dim = 1 << n_qubits
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for label in range(1, dim + 1):
-        acc += projector(basis_state(n_qubits, label))
-    return float(np.abs(acc - np.eye(dim)).max())
-
-
-def measurement_probability(q: QState, label: int) -> float:
-    """Born probability |q[label - 1]|^2 of the 1-based basis outcome ``label``."""
-    dim = len(q.amplitudes)
-    if not 1 <= label <= dim:
-        raise ValueError(f"basis label must be in 1..{dim}, got {label}")
-    return float(abs(q.amplitudes[label - 1]) ** 2)
+    kets = np.array([basis_state(n_qubits, label).amplitudes for label in range(1, dim + 1)])
+    return float(np.abs(kets.T @ kets.conj() - np.eye(dim)).max())
 
 
 def sample_measurement(q: QState, rng_seed: int, shots: int) -> dict[int, int]:

@@ -227,12 +227,13 @@ def _check_closed_form(cfg: VerificationConfig, seed: int) -> tuple[float, dict]
             # G^t by left multiplication, one factor per t
             g_pow = np.eye(1 << n, dtype=np.complex128)
             for t, (other, tau) in zip(range(cfg.t_max + 1), kernel_steps(inst)):
+                if t:
+                    g_pow = g @ g_pow
                 closed = closed_form_state(inst, t).amplitudes
                 sim_matrix = g_pow @ start
                 worst = max(worst, float(np.abs(sim_matrix - closed).max()))
                 kernel = two_valued_state(inst, other, tau).amplitudes
                 worst = max(worst, float(np.abs(kernel - closed).max()))
-                g_pow = g @ g_pow
     return worst, {
         "n_values": list(range(n_lo, n_hi + 1)),
         "targets": "all",

@@ -7,7 +7,9 @@ from the right, and the matvec oracle is a plain double loop.  The sampling
 reference keeps the sampler's first form: out-of-place square and cumulative
 sum, and a ``Counter`` of the drawn labels.  The kernel reference keeps the
 first kernel: it steps the whole 2^n vector, where the package steps the two
-values that vector holds.
+values that vector holds.  The Born-rule reference reads one amplitude of a
+whole state, where the package reads the kernel's pair; the divisor
+reference is the first scan, one Python ``%`` per candidate.
 """
 
 from __future__ import annotations
@@ -101,3 +103,16 @@ def vector_kernel_steps(inst) -> Iterator[np.ndarray]:
         yield amps
         amps[flip] = -amps[flip]
         np.subtract(2.0 * amps.mean(), amps, out=amps)
+
+
+def measurement_probability(q, label: int) -> float:
+    """Born probability |q[label - 1]|^2 of the 1-based basis outcome ``label``."""
+    dim = len(q.amplitudes)
+    if not 1 <= label <= dim:
+        raise ValueError(f"basis label must be in 1..{dim}, got {label}")
+    return float(abs(q.amplitudes[label - 1]) ** 2)
+
+
+def divisors_in_range(m: int) -> list[int]:
+    """Every divisor of ``m`` in [2, floor(sqrt(m))], one candidate at a time."""
+    return [d for d in range(2, math.isqrt(m) + 1) if m % d == 0]

@@ -169,8 +169,8 @@ class TestSimulate:
         assert "--seed" in err and "Traceback" not in err
 
     def test_peak_memory_is_one_state_vector(self, capsys):
-        # the kernel hands its one float vector to the state without a copy:
-        # 8 B per amplitude; reading the target's probability adds no other
+        # without --shots the probability is read from the kernel's two
+        # amplitude values: no 2^n vector at all, against 2 MiB for one here
         tracemalloc.start()
         try:
             code = main(["simulate", "--n", "18", "--target", "3", "--t", "10", "--json"])
@@ -179,7 +179,22 @@ class TestSimulate:
             tracemalloc.stop()
         capsys.readouterr()
         assert code == 0
-        assert peak <= 8 * 2**18 + 64 * 1024
+        assert peak <= 64 * 1024
+
+    def test_the_qubit_cap_at_the_optimum_holds_no_vector(self, capsys):
+        # one 2^24 vector is 128 MiB; the pair read holds none
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--n", "24", "--target", "1", "--t", "3216", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert time.perf_counter() - started < 2.0
+        assert peak <= 64 * 1024
+        assert abs(doc["difference"]) < 1e-10
 
     def test_peak_memory_with_shots_adds_one_float_vector(self, capsys):
         # sampling squares and accumulates |amplitude| in one float array, 8 B per

@@ -2,11 +2,13 @@
 
 import math
 import time
+import tracemalloc
 
 import pytest
 
 from groversim import factorization
 from groversim.factorization import (
+    MODULUS_LIMIT,
     CurvePoint,
     MultipleSolutionsError,
     NoSolutionError,
@@ -16,6 +18,7 @@ from groversim.factorization import (
     run_factor_search,
 )
 from groversim.grover import GroverInstance, grover_angles, success_probability
+from oracles import divisors_in_range
 
 P3_N16 = 0.9613189697265625
 
@@ -69,6 +72,24 @@ class TestBuildFactorInstance:
         inst = build_factor_instance(m)
         assert inst.target == divisor + 1
         assert inst.n_states > math.isqrt(m)
+
+
+class TestDivisorScan:
+    """The chunked numpy scan against the one-candidate-at-a-time reference."""
+
+    def test_every_small_modulus(self):
+        for m in range(6, 20_001):
+            assert factorization._divisors_in_range(m) == divisors_in_range(m), m
+
+    @pytest.mark.parametrize("m", [
+        16381 * 16369,           # one divisor, one chunk
+        65537**2, 65538**2,      # the range ends at the first chunk's end / one past it
+        65539 * 131071,          # one divisor, two chunks
+        2**40 - 1,
+        MODULUS_LIMIT - 1,       # 383 divisors over 256 chunks
+    ])
+    def test_large_moduli(self, m):
+        assert factorization._divisors_in_range(m) == divisors_in_range(m)
 
 
 class TestRunFactorSearch:
@@ -148,6 +169,22 @@ class TestProbabilityCurve:
         rows = probability_curve(GroverInstance(16, 5))
         assert time.perf_counter() - start < 1.5
         assert len(rows) == 402
+
+    def test_full_period_at_the_qubit_cap_holds_no_vector(self):
+        # every row is read from the kernel's pair: one 2^24 vector per row
+        # was 128 MiB and about 50 ms, minutes over the 6434 rows; the rows
+        # themselves take about 0.98 MiB
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            rows = probability_curve(GroverInstance(24, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        assert peak < 2**20
+        assert len(rows) == 6434
+        assert max(abs(r.p_simulated - r.p_closed_form) for r in rows) < 1e-10
 
     def test_curve_is_target_independent(self):
         ang = grover_angles(16)

@@ -26,12 +26,13 @@ from groversim.grover import (
     plane_state,
     state_after_iterations,
     success_probability,
+    target_probability,
     two_valued_state,
     uniform_superposition,
 )
 from groversim.linalg import is_unitary
-from groversim.states import basis_state, measurement_probability
-from oracles import vector_kernel_steps
+from groversim.states import NormalizationError, basis_state
+from oracles import measurement_probability, vector_kernel_steps
 
 # sin^2(7 * arcsin(1/4)): sin(7x) is an odd integer polynomial in sin(x), so
 # the value is the exact dyadic rational (251/256)^2 = 63001/65536
@@ -345,6 +346,40 @@ class TestTwoValueKernel:
         inst = GroverInstance(24, 12345)
         amps = _at_step(vector_kernel_steps(inst), 3216)
         assert np.array_equal(state_after_iterations(inst, 3216).amplitudes, amps)
+
+
+class TestTargetProbability:
+    """``target_probability`` reads the kernel's pair as the 2^n state would be read."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_step_of_a_period_matches_the_state_read(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        inst = GroverInstance(n, data.draw(st.integers(min_value=1, max_value=1 << n)))
+        t_max = max_t_in_period(grover_angles(inst.n_states))
+        for other, tau in itertools.islice(kernel_steps(inst), t_max + 1):
+            state = two_valued_state(inst, other, tau)
+            assert target_probability(inst, other, tau) == measurement_probability(state, inst.target)
+
+    @pytest.mark.parametrize("other, tau", [
+        (0.25, 0.25 + 1e-9),  # squared norm off by 5e-10
+        (0.25 - 1e-9, 0.25),  # off by 7.5e-9
+        (0.0, 0.0),
+        (math.nan, 0.25),
+        (0.25, math.nan),
+        (math.inf, 0.25),
+        (0.25, -math.inf),
+    ])
+    def test_pair_gate_rejects_what_the_state_gate_rejects(self, other, tau):
+        inst = GroverInstance(4, 11)
+        with pytest.raises(NormalizationError):
+            target_probability(inst, other, tau)
+        with pytest.raises(NormalizationError):
+            two_valued_state(inst, other, tau)
+
+    def test_pair_gate_accepts_a_unit_pair(self):
+        assert target_probability(GroverInstance(4, 11), 0.25, -0.25) == 0.0625
+        assert target_probability(GroverInstance(3, 2), 0.0, -1.0) == 1.0
 
 
 class TestPlaneRotation:

@@ -20,13 +20,12 @@ from groversim.states import (
     completeness_residual,
     hadamard,
     make_qstate,
-    measurement_probability,
     projector,
     random_qstate,
     sample_measurement,
 )
 
-from oracles import counter_histogram, kron_fold, random_structured_unitary
+from oracles import counter_histogram, kron_fold, measurement_probability, random_structured_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -212,6 +211,8 @@ class TestProjector:
 
 
 class TestMeasurementProbability:
+    """The Born-rule reference the kernel's pair read is checked against."""
+
     def test_same_state_gives_one(self):
         for label in range(1, 9):
             assert abs(measurement_probability(basis_state(3, label), label) - 1.0) < 1e-12
