@@ -81,7 +81,7 @@ def cli() -> None:
 
 
 @cli.command()
-@click.option("--n", "n_qubits", type=int, required=True, help="Qubit count (1..24).")
+@click.option("--n", "n_qubits", type=int, required=True, help=f"Qubit count (1..{KERNEL_QUBIT_CAP}).")
 @click.option("--target", type=int, required=True, help="Target basis label, 1-based.")
 @click.option("--t", "iterations", type=int, required=True, help="Grover iterations.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Sampling seed.")
@@ -144,7 +144,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 @cli.command()
-@click.option("--n", "n_qubits", type=int, required=True, help="Qubit count.")
+@click.option("--n", "n_qubits", type=int, required=True, help=f"Qubit count (1..{KERNEL_QUBIT_CAP}).")
 @click.option("--target", type=int, required=True, help="Target basis label, 1-based.")
 @click.option("--t-max", type=int, default=None, help="Last iteration (default: one period).")
 @click.option(

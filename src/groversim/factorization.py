@@ -26,9 +26,10 @@ from .grover import (
     kernel_steps,
     max_t_in_period,
     optimal_iterations,
-    state_after_iterations,
+    pair_after_iterations,
     success_probability,
     target_probability,
+    two_valued_state,
 )
 from .states import sample_measurement
 
@@ -124,7 +125,7 @@ def run_factor_search(m: int, seed: int, shots: int) -> FactorResult:
     """
     inst = build_factor_instance(m)
     opt = optimal_iterations(grover_angles(inst.n_states))
-    state = state_after_iterations(inst, opt.t_best)
+    state = two_valued_state(inst, *pair_after_iterations(inst, opt.t_best))
     histogram = sample_measurement(state, seed, shots)
     modal_label = max(histogram, key=histogram.get)  # first, so smallest, on ties
     candidate = modal_label - 1

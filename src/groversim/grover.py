@@ -1,13 +1,13 @@
 """Grover operators, simulation, closed-form dynamics and iteration analytics.
 
 The operators are built literally as dense matrices (oracle, diffusion and
-the Grover step G = D U_f) so that the paper's claims about them can be
-checked.  Simulation does not use them: ``kernel_steps`` is the one stepping
-loop.  A step (sign flip at the target, then inversion about the mean) treats
-every non-target amplitude alike, so the state only ever holds two values;
-the kernel steps those two, O(n) per step and bit for bit the 2^n vector's
-result, at every qubit count up to ``KERNEL_QUBIT_CAP``.  ``plane_state``
-builds cos(a)|tau_perp> + sin(a)|tau>; the closed form is a = (2t+1) theta.
+the Grover step G = D U_f) so the paper's claims about them can be checked.
+Simulation does not use them: ``kernel_steps`` is the one stepping loop.  A
+step treats every non-target amplitude alike, so the state holds two values;
+the kernel steps that pair, O(n) per step and bit for bit the 2^n vector's.
+``target_probability`` reads the pair, and ``two_valued_state`` is the one
+builder of the 2^n state from it, for sampling.  ``plane_state`` builds
+cos(a)|tau_perp> + sin(a)|tau>; the closed form is a = (2t+1) theta.
 
 All angles derive from theta = arcsin(1/sqrt(N)) for a search space of size
 N = 2^n; the success probability after t iterations is sin^2((2t+1) theta),
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import matmul
-from .states import QState, adopt_qstate, make_qstate, require_unit_norm
+from .states import QState, adopt_qstate, require_unit_norm
 
-#: Qubit ceiling for simulation (bound by the 2^n state, enforced by the CLI).
+#: Qubit ceiling the CLI enforces, bound by the 2^n vector `simulate --shots` and `factor` sample.
 KERNEL_QUBIT_CAP = 24
 
 # Rounding slack on t_real: snaps N=4's t_real to exactly 1, and lets the
@@ -112,7 +112,7 @@ def uniform_superposition(n_qubits: int) -> QState:
     if n_qubits < 1:
         raise ValueError("qubit count must be at least 1")
     dim = 1 << n_qubits
-    return make_qstate(np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+    return adopt_qstate(np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
 
 def two_valued_state(inst: GroverInstance, other: float, tau: float) -> QState:
@@ -183,15 +183,6 @@ def target_probability(inst: GroverInstance, other: float, tau: float) -> float:
     """
     require_unit_norm((inst.n_states - 1) * other * other + tau * tau)
     return abs(tau) ** 2
-
-
-def _simulate_kernel(inst: GroverInstance, t: int) -> QState:
-    return two_valued_state(inst, *pair_after_iterations(inst, t))
-
-
-def state_after_iterations(inst: GroverInstance, t: int) -> QState:
-    """State after ``t`` Grover steps applied to the uniform superposition."""
-    return _simulate_kernel(inst, t)
 
 
 def plane_state(inst: GroverInstance, angle: float) -> QState:

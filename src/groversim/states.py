@@ -65,15 +65,6 @@ def adopt_qstate(amps: np.ndarray) -> QState:
     return QState(n_qubits=n, amplitudes=amps)
 
 
-def make_qstate(v) -> QState:
-    """Wrap a private copy of a vector as a QState, rejecting non-normalized input.
-
-    The copy is float64 for real input, complex128 otherwise; ``adopt_qstate``
-    validates it.
-    """
-    return adopt_qstate(np.array(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64))
-
-
 def basis_state(n_qubits: int, label: int) -> QState:
     """Computational basis state for a 1-based basis label in 1 .. 2^n."""
     dim = 1 << n_qubits
@@ -81,7 +72,7 @@ def basis_state(n_qubits: int, label: int) -> QState:
         raise ValueError(f"basis label must be in 1..{dim}, got {label}")
     v = np.zeros(dim, dtype=np.complex128)
     v[label - 1] = 1.0
-    return make_qstate(v)
+    return adopt_qstate(v)
 
 
 def hadamard() -> np.ndarray:
@@ -130,4 +121,4 @@ def random_qstate(n_qubits: int, rng: np.random.Generator) -> QState:
     """Random state: i.i.d. normal re/im amplitudes, normalized once."""
     dim = 1 << n_qubits
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return make_qstate(v / np.linalg.norm(v))
+    return adopt_qstate(v / np.linalg.norm(v))

@@ -10,6 +10,9 @@ first kernel: it steps the whole 2^n vector, where the package steps the two
 values that vector holds.  The Born-rule reference reads one amplitude of a
 whole state, where the package reads the kernel's pair; the divisor
 reference is the first scan, one Python ``%`` per candidate.
+
+``kernel_state`` is not a reference: it spells the package's one route from
+the kernel's pair to a 2^n state as one call.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from collections import Counter
 from collections.abc import Iterator
 
 import numpy as np
+
+from groversim.grover import pair_after_iterations, two_valued_state
 
 
 def kron_fold(ms) -> np.ndarray:
@@ -103,6 +108,11 @@ def vector_kernel_steps(inst) -> Iterator[np.ndarray]:
         yield amps
         amps[flip] = -amps[flip]
         np.subtract(2.0 * amps.mean(), amps, out=amps)
+
+
+def kernel_state(inst, t: int):
+    """The state after ``t`` Grover steps: ``two_valued_state`` of the kernel's pair."""
+    return two_valued_state(inst, *pair_after_iterations(inst, t))
 
 
 def measurement_probability(q, label: int) -> float:

@@ -21,7 +21,6 @@ from groversim.grover import (
     monotonic_increase_range,
     optimal_iterations,
     oracle,
-    state_after_iterations,
     success_probability,
     uniform_superposition,
 )
@@ -32,7 +31,7 @@ from groversim.states import (
     projector,
     random_qstate,
 )
-from oracles import kron_fold, random_2x2, random_structured_unitary
+from oracles import kernel_state, kron_fold, random_2x2, random_structured_unitary
 
 # sin^2(7 * arcsin(1/4)) = (251/256)^2 = 63001/65536, exact in double precision;
 # precomputed independently at 60 decimal digits (mpmath), value is dyadic
@@ -60,7 +59,7 @@ def test_c01_closed_form_equivalence():
             for t in range(0, 2 * t_ceil + 1):
                 closed = closed_form_state(inst, t).amplitudes
                 operator = np.linalg.matrix_power(g, t) @ phi0
-                kernel = state_after_iterations(inst, t).amplitudes
+                kernel = kernel_state(inst, t).amplitudes
                 for sim in (operator, kernel):
                     worst = max(worst, float(np.abs(sim - closed).max()))
     _report(
@@ -144,7 +143,7 @@ def test_c05_four_state_exact_case():
     closed_ok = abs(p - 1.0) < 1e-12
     amp_ok = True
     for target in range(1, 5):
-        state = state_after_iterations(GroverInstance(2, target), 1)
+        state = kernel_state(GroverInstance(2, target), 1)
         amp_ok &= abs(abs(state.amplitudes[target - 1]) - 1.0) < 1e-12
     _report(
         "criterion 5: N=4 certainty after one iteration",

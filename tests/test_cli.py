@@ -344,6 +344,21 @@ class TestFactor:
         assert code == 0
         assert "factor" in out and "11" in out and "13" in out
 
+    @pytest.mark.parametrize("m, n, divisor", [(143, 4, 11), (521 * 1031, 10, 521)])
+    def test_samples_what_simulate_samples_at_the_divisor(self, capsys, m, n, divisor):
+        # one sampling route: the kernel's pair at t_best, built into the state
+        sampling = ("--seed", "5", "--shots", "3000", "--json")
+        code, out, _ = run_cli(capsys, "factor", "--m", str(m), *sampling)
+        assert code == 0
+        factored = json.loads(out)
+        assert factored["factor"] == divisor
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", str(n), "--target", str(divisor + 1),
+            "--t", str(factored["t_used"]), *sampling,
+        )
+        assert code == 0
+        assert json.loads(out)["histogram"] == factored["histogram"]
+
 
 class TestVerify:
     def test_reduced_grid_passes(self, capsys):

@@ -61,6 +61,7 @@ def test_every_top_level_name_is_used_in_src():
 #: deleted from the package; their per-layer rows read 0 until they go.
 DELETED_FROM_SRC = {
     "grover._simulate_matrix", "linalg.matrix_pow", "states.evolve", "states.n_hadamard",
+    "grover.state_after_iterations", "grover._simulate_kernel", "states.make_qstate",
 }
 
 
@@ -110,3 +111,25 @@ def test_every_tracer_hook_names_a_function_of_the_package():
         if span not in hooks and not _imported_elsewhere(tracer.LAYERS, span):
             unresolved.add(span)
     assert unresolved == DELETED_FROM_SRC
+
+
+def _calls_by_scope(node, scope):
+    # (dotted name of the innermost enclosing module, class or function, call)
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.Call):
+            yield inner, child
+        yield from _calls_by_scope(child, inner)
+
+
+def test_qstate_is_built_only_inside_adopt_qstate():
+    # every state then passes the norm gate; a new builder cannot skip it
+    builders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for scope, call in _calls_by_scope(ast.parse(path.read_text()), path.stem):
+            func = call.func
+            if getattr(func, "id", None) == "QState" or getattr(func, "attr", None) == "QState":
+                builders.add(scope)
+    assert builders == {"states.adopt_qstate"}

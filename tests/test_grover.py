@@ -24,7 +24,6 @@ from groversim.grover import (
     optimal_iterations,
     oracle,
     plane_state,
-    state_after_iterations,
     success_probability,
     target_probability,
     two_valued_state,
@@ -32,7 +31,7 @@ from groversim.grover import (
 )
 from groversim.linalg import is_unitary
 from groversim.states import NormalizationError, basis_state
-from oracles import measurement_probability, vector_kernel_steps
+from oracles import kernel_state, measurement_probability, vector_kernel_steps
 
 # sin^2(7 * arcsin(1/4)): sin(7x) is an odd integer polynomial in sin(x), so
 # the value is the exact dyadic rational (251/256)^2 = 63001/65536
@@ -47,7 +46,7 @@ def operator_state(inst, t):
 
 def plane_coordinates(inst, t):
     """The simulated state's (tau_perp, tau) coordinates; it must lie in that plane."""
-    amps = state_after_iterations(inst, t).amplitudes
+    amps = kernel_state(inst, t).amplitudes
     rest = np.delete(amps, inst.target - 1)
     assert np.ptp(rest.real) < 1e-12 and not rest.imag.any()
     return rest[0].real * math.sqrt(inst.n_states - 1), amps[inst.target - 1].real
@@ -170,13 +169,13 @@ class TestGroverOperator:
 
     def test_zeroth_power_is_identity(self):
         inst = GroverInstance(3, 2)
-        assert np.array_equal(state_after_iterations(inst, 0).amplitudes, operator_state(inst, 0))
+        assert np.array_equal(kernel_state(inst, 0).amplitudes, operator_state(inst, 0))
 
     def test_two_qubit_single_step_is_exact(self):
         # theta = pi/6, so one iteration rotates exactly onto the target
         for target in (1, 2, 3, 4):
             inst = GroverInstance(2, target)
-            state = state_after_iterations(inst, 1)
+            state = kernel_state(inst, 1)
             amps = state.amplitudes
             assert abs(amps[target - 1] - 1.0) < 1e-12
             others = np.delete(amps, target - 1)
@@ -185,7 +184,7 @@ class TestGroverOperator:
 
 class TestSimulationPaths:
     def test_no_iterations_gives_uniform(self):
-        got = state_after_iterations(GroverInstance(3, 5), 0)
+        got = kernel_state(GroverInstance(3, 5), 0)
         assert np.abs(got.amplitudes - 1.0 / math.sqrt(8.0)).max() < 1e-14
 
     def test_matches_closed_form(self):
@@ -195,7 +194,7 @@ class TestSimulationPaths:
             inst = GroverInstance(n, target)
             for t in range(0, 9):
                 closed = closed_form_state(inst, t).amplitudes
-                for sim in (state_after_iterations(inst, t).amplitudes, operator_state(inst, t)):
+                for sim in (kernel_state(inst, t).amplitudes, operator_state(inst, t)):
                     assert np.abs(sim - closed).max() < 1e-9
 
     @settings(max_examples=100, deadline=None)
@@ -204,13 +203,13 @@ class TestSimulationPaths:
         n = data.draw(st.integers(min_value=1, max_value=10))
         inst = GroverInstance(n, data.draw(st.integers(min_value=1, max_value=1 << n)))
         t = data.draw(st.integers(0, max_t_in_period(grover_angles(inst.n_states))))
-        kernel = state_after_iterations(inst, t).amplitudes
+        kernel = kernel_state(inst, t).amplitudes
         assert np.abs(kernel - closed_form_state(inst, t).amplitudes).max() <= 1e-10
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_one_pass_matches_restarting_from_zero(self, data):
-        # state_after_iterations restarts from t=0 for every t: the reference
+        # kernel_state restarts from t=0 for every t: the reference
         n = data.draw(st.integers(min_value=1, max_value=10))
         inst = GroverInstance(n, data.draw(st.integers(min_value=1, max_value=1 << n)))
         t_max = data.draw(st.integers(0, max_t_in_period(grover_angles(inst.n_states))))
@@ -218,7 +217,7 @@ class TestSimulationPaths:
         rows = probability_curve(inst, t_max)
         assert len(rows) == t_max + 1
         for row, (other, tau) in zip(rows, kernel_steps(inst)):
-            restarted = state_after_iterations(inst, row.t)
+            restarted = kernel_state(inst, row.t)
             assert row.p_simulated == measurement_probability(restarted, inst.target)
             built = two_valued_state(inst, other, tau)
             assert np.array_equal(built.amplitudes, restarted.amplitudes)
@@ -233,32 +232,32 @@ class TestSimulationPaths:
         inst = GroverInstance(6, 17)
         for t in (0, 1, 5, 12):
             a = operator_state(inst, t)
-            b = state_after_iterations(inst, t).amplitudes
+            b = kernel_state(inst, t).amplitudes
             assert np.abs(a - b).max() < 1e-10
 
     def test_kernel_handles_larger_spaces(self):
         inst = GroverInstance(12, 1000)
         opt = optimal_iterations(grover_angles(inst.n_states))
-        state = state_after_iterations(inst, opt.t_best)
+        state = kernel_state(inst, opt.t_best)
         p = measurement_probability(state, 1000)
         assert abs(p - opt.p_best) < 1e-9
 
     def test_drift_at_twenty_qubits_stays_inside_its_margin(self):
-        # measured 1.3e-12 and 1.3e-14; the make_qstate gate is 1e-10, so a
+        # measured 1.3e-12 and 1.3e-14; the adopt_qstate gate is 1e-10, so a
         # kernel change that loses precision fails here before it hits the gate
         inst = GroverInstance(20, 777_777)
         t = optimal_iterations(grover_angles(inst.n_states)).t_best
         assert t == 804
-        amps = state_after_iterations(inst, t).amplitudes
+        amps = kernel_state(inst, t).amplitudes
         assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-11
         assert np.abs(amps - closed_form_state(inst, t).amplitudes).max() <= 1e-12
 
     def test_drift_at_the_qubit_cap_stays_inside_its_margin(self):
-        # measured 4.67e-12 and 3.66e-15 against the 1e-10 make_qstate gate
+        # measured 4.67e-12 and 3.66e-15 against the 1e-10 adopt_qstate gate
         inst = GroverInstance(24, 12345)
         t = optimal_iterations(grover_angles(inst.n_states)).t_best
         assert t == 3216
-        amps = state_after_iterations(inst, t).amplitudes
+        amps = kernel_state(inst, t).amplitudes
         assert abs(np.vdot(amps, amps).real - 1.0) <= 5e-11
         closed = closed_form_state(inst, t).amplitudes
         # slice by slice, so no third 2^24 vector is held at once
@@ -285,14 +284,14 @@ class TestSimulationPaths:
 
     def test_sixteen_state_probability_after_three_steps(self):
         inst = GroverInstance(4, 11)
-        state = state_after_iterations(inst, 3)
+        state = kernel_state(inst, 3)
         p = measurement_probability(state, 11)
         assert abs(p - P3_N16) < 1e-9
 
     def test_invalid_inputs(self):
         inst = GroverInstance(2, 1)
         with pytest.raises(ValueError):
-            state_after_iterations(inst, -1)
+            kernel_state(inst, -1)
 
     def test_closed_form_at_zero_is_uniform(self):
         for n in (1, 2, 4, 6):
@@ -338,14 +337,14 @@ class TestTwoValueKernel:
     def test_twenty_qubits_at_the_optimum(self):
         inst = GroverInstance(20, 777_777)
         amps = _at_step(vector_kernel_steps(inst), 804)
-        assert np.array_equal(state_after_iterations(inst, 804).amplitudes, amps)
+        assert np.array_equal(kernel_state(inst, 804).amplitudes, amps)
 
     @pytest.mark.slow
     def test_the_qubit_cap_at_the_optimum(self):
         # about 110 s: the vector loop reads the 128 MB vector 3 times a step
         inst = GroverInstance(24, 12345)
         amps = _at_step(vector_kernel_steps(inst), 3216)
-        assert np.array_equal(state_after_iterations(inst, 3216).amplitudes, amps)
+        assert np.array_equal(kernel_state(inst, 3216).amplitudes, amps)
 
 
 class TestTargetProbability:
@@ -404,7 +403,7 @@ class TestPlaneRotation:
         inst = GroverInstance(3, 6)
         ang = grover_angles(inst.n_states)
         for t in range(0, 6):
-            full = state_after_iterations(inst, t)
+            full = kernel_state(inst, t)
             c_tau = math.sin((2 * t + 1) * ang.theta)
             assert abs(c_tau**2 - measurement_probability(full, 6)) < 1e-9
 

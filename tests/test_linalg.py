@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from groversim.grover import (
     GroverInstance,
     grover_operator,
-    state_after_iterations,
     uniform_superposition,
 )
 from groversim.linalg import (
@@ -19,10 +18,11 @@ from groversim.linalg import (
     tensor_product_list,
     unitarity_residual,
 )
-from groversim.states import NormalizationError, basis_state, hadamard, make_qstate
+from groversim.states import NormalizationError, adopt_qstate, basis_state, hadamard
 
 from oracles import (
-    bit_index_product, kron_fold, naive_matvec, random_2x2, random_structured_unitary
+    bit_index_product, kernel_state, kron_fold, naive_matvec, random_2x2,
+    random_structured_unitary,
 )
 
 RNG = np.random.default_rng(20260810)
@@ -241,12 +241,12 @@ class TestMatrixPow:
     INST = GroverInstance(2, 3)
 
     def test_zeroth_power_is_identity(self):
-        got = state_after_iterations(self.INST, 0).amplitudes
+        got = kernel_state(self.INST, 0).amplitudes
         assert np.array_equal(got, uniform_superposition(2).amplitudes)
 
     def test_first_power_is_itself(self):
         want = grover_operator(self.INST) @ uniform_superposition(2).amplitudes
-        assert np.array_equal(state_after_iterations(self.INST, 1).amplitudes, want)
+        assert np.array_equal(kernel_state(self.INST, 1).amplitudes, want)
 
     def test_square_matches_matmul(self):
         g = grover_operator(self.INST)
@@ -254,7 +254,7 @@ class TestMatrixPow:
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            state_after_iterations(self.INST, -1)
+            kernel_state(self.INST, -1)
 
 
 class TestValidation:
@@ -268,7 +268,7 @@ class TestValidation:
             unitarity_residual(np.array([[1.0, np.inf], [0.0, 1.0]]))
         # vectors are validated where they become states, by the norm gate
         with pytest.raises(NormalizationError):
-            make_qstate(np.array([1.0, np.inf]))
+            adopt_qstate(np.array([1.0, np.inf]))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

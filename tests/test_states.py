@@ -1,7 +1,7 @@
 """Tests for states, gates, evolution, projectors and measurement.
 
 Evolution is an operator applied to the amplitudes and re-gated by
-``make_qstate``; |0...0> is ``basis_state(n, 1)``.
+``adopt_qstate``; |0...0> is ``basis_state(n, 1)``.
 """
 
 import math
@@ -16,10 +16,10 @@ from groversim.linalg import DimensionMismatchError, is_unitary, matmul, tensor_
 from groversim.states import (
     NormalizationError,
     QState,
+    adopt_qstate,
     basis_state,
     completeness_residual,
     hadamard,
-    make_qstate,
     projector,
     random_qstate,
     sample_measurement,
@@ -35,59 +35,69 @@ def norm2(v) -> float:
 
 
 class TestMakeQState:
+    """``adopt_qstate``, the one gate every QState passes."""
+
     def test_basis_vector_accepted(self):
-        q = make_qstate([1.0, 0.0])
+        q = adopt_qstate(np.array([1.0, 0.0]))
         assert q.n_qubits == 1
         assert np.array_equal(q.amplitudes, np.array([1.0, 0.0], dtype=complex))
 
     def test_uniform_pair_accepted(self):
-        q = make_qstate([INV_SQRT2, INV_SQRT2])
+        q = adopt_qstate(np.array([INV_SQRT2, INV_SQRT2]))
         assert abs(norm2(q.amplitudes) - 1.0) < 1e-15
 
     def test_unnormalized_rejected(self):
         with pytest.raises(NormalizationError):
-            make_qstate([1.0, 1.0])
+            adopt_qstate(np.array([1.0, 1.0]))
 
     def test_no_silent_renormalization(self):
         # norm off by more than the tolerance in either direction
         with pytest.raises(NormalizationError):
-            make_qstate([1.0 + 1e-5, 0.0])
+            adopt_qstate(np.array([1.0 + 1e-5, 0.0]))
 
     def test_norm_within_tolerance_accepted(self):
-        make_qstate([math.sqrt(1.0 + 5e-11), 0.0])
+        adopt_qstate(np.array([math.sqrt(1.0 + 5e-11), 0.0]))
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
-            make_qstate([1.0, 0.0, 0.0])
+            adopt_qstate(np.array([1.0, 0.0, 0.0]))
 
     def test_dimension_one_rejected(self):
         with pytest.raises(ValueError):
-            make_qstate([1.0])
+            adopt_qstate(np.array([1.0]))
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            make_qstate([np.nan, 0.0])
+            adopt_qstate(np.array([np.nan, 0.0]))
 
     def test_non_finite_entries_fail_the_norm_gate(self):
         nan, inf = float("nan"), float("inf")
         for bad in ([nan, 0], [0, complex(0, nan)], [inf, 0], [-inf, 0], [complex(0, inf), 0]):
             with pytest.raises(NormalizationError):
-                make_qstate(bad)
+                adopt_qstate(np.array(bad))
 
     def test_non_vector_rejected(self):
         for bad in (np.eye(2), []):
             with pytest.raises(ValueError):
-                make_qstate(bad)
+                adopt_qstate(np.array(bad))
 
     def test_roundtrip_is_identity(self):
         q = random_qstate(3, np.random.default_rng(5))
-        again = make_qstate(q.amplitudes)
+        again = adopt_qstate(q.amplitudes.copy())
         assert np.array_equal(again.amplitudes, q.amplitudes)
 
     def test_amplitudes_read_only(self):
-        q = make_qstate([1.0, 0.0])
+        q = adopt_qstate(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             q.amplitudes[0] = 0.5
+
+    def test_the_handed_array_becomes_the_read_only_amplitudes(self):
+        v = np.array([INV_SQRT2, INV_SQRT2])
+        q = adopt_qstate(v)
+        assert q.amplitudes is v
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
 
 
 class TestZeroAndBasisStates:
@@ -131,11 +141,11 @@ class TestHadamard:
         assert np.array_equal(tensor_product_list([hadamard()]), hadamard())
 
     def test_two_qubits_give_uniform_amplitudes(self):
-        q = make_qstate(tensor_product_list([hadamard()] * 2) @ basis_state(2, 1).amplitudes)
+        q = adopt_qstate(tensor_product_list([hadamard()] * 2) @ basis_state(2, 1).amplitudes)
         assert np.abs(q.amplitudes - 0.5).max() < 1e-15
 
     def test_four_qubits_give_uniform_amplitudes(self):
-        q = make_qstate(tensor_product_list([hadamard()] * 4) @ basis_state(4, 1).amplitudes)
+        q = adopt_qstate(tensor_product_list([hadamard()] * 4) @ basis_state(4, 1).amplitudes)
         assert np.abs(q.amplitudes - 0.25).max() < 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -149,15 +159,15 @@ class TestHadamard:
 
 
 class TestEvolve:
-    """``make_qstate(U @ q.amplitudes)``: apply an operator, then re-check the norm."""
+    """``adopt_qstate(U @ q.amplitudes)``: apply an operator, then re-check the norm."""
 
     def test_identity_preserves_state(self):
         q = random_qstate(2, np.random.default_rng(1))
-        out = make_qstate(np.eye(4, dtype=complex) @ q.amplitudes)
+        out = adopt_qstate(np.eye(4, dtype=complex) @ q.amplitudes)
         assert np.array_equal(out.amplitudes, q.amplitudes)
 
     def test_hadamard_on_zero(self):
-        out = make_qstate(hadamard() @ basis_state(1, 1).amplitudes)
+        out = adopt_qstate(hadamard() @ basis_state(1, 1).amplitudes)
         assert np.abs(out.amplitudes - INV_SQRT2).max() < 1e-15
 
     def test_norm_conserved_for_random_unitaries(self):
@@ -166,13 +176,13 @@ class TestEvolve:
             for _ in range(10):
                 u = random_structured_unitary(n, rng)
                 q = random_qstate(n, rng)
-                out = make_qstate(u @ q.amplitudes)
+                out = adopt_qstate(u @ q.amplitudes)
                 assert abs(norm2(out.amplitudes) - 1.0) < 1e-9
 
     def test_non_unitary_operator_rejected(self):
         # the norm gate refuses what a non-unitary operator makes
         with pytest.raises(NormalizationError):
-            make_qstate(2.0 * np.eye(2) @ basis_state(1, 1).amplitudes)
+            adopt_qstate(2.0 * np.eye(2) @ basis_state(1, 1).amplitudes)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -221,7 +231,7 @@ class TestMeasurementProbability:
         assert measurement_probability(basis_state(2, 2), 1) == 0.0
 
     def test_basis_against_uniform_sixteen(self):
-        uniform = make_qstate(np.full(16, 0.25, dtype=complex))
+        uniform = adopt_qstate(np.full(16, 0.25, dtype=complex))
         assert abs(measurement_probability(uniform, 7) - 1.0 / 16.0) < 1e-15
 
     def test_qubit_count_mismatch(self):
@@ -268,7 +278,7 @@ class TestSampling:
         assert hist == {1: 500}
 
     def test_uniform_state_concentrates(self):
-        uniform = make_qstate(np.full(4, 0.5, dtype=complex))
+        uniform = adopt_qstate(np.full(4, 0.5, dtype=complex))
         shots = 100_000
         hist = sample_measurement(uniform, rng_seed=77, shots=shots)
         assert sorted(hist) == [1, 2, 3, 4]
@@ -302,7 +312,7 @@ class TestSampling:
             v[rng.random(v.shape[0]) < 0.7] = 0.0
             v[rng.integers(v.shape[0])] += 1.0
             v /= np.linalg.norm(v)
-        q = make_qstate(v)
+        q = adopt_qstate(v)
         hist = sample_measurement(q, rng_seed, shots)
         assert hist == counter_histogram(q.amplitudes, rng_seed, shots)
         assert list(hist) == sorted(hist)
