@@ -15,7 +15,6 @@ import sys
 import click
 
 from .factorization import (
-    MODULUS_LIMIT,
     MultipleSolutionsError,
     NoSolutionError,
     curve_to_csv,
@@ -37,18 +36,17 @@ from .states import sample_measurement
 from .verification import VerificationConfig, run_all
 
 
-#: Largest ``--shots``: at this count the sampler's arrays are about the size of
+#: The bounds that belong to the command line, as option types: click refuses a
+#: value outside them before the command runs, and ``--help`` prints them.
+#: ``--shots`` stops at 2^cap, where the sampler's arrays are about the size of
 #: the largest state vector ``--n`` admits.
-_SHOTS_LIMIT = 2**KERNEL_QUBIT_CAP
+_QUBITS = click.IntRange(1, KERNEL_QUBIT_CAP)
+_SHOTS = click.IntRange(1, 2**KERNEL_QUBIT_CAP)
+_SEED = click.IntRange(min=0)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise click.UsageError(message)
 
 
 def _histogram_csv(histogram) -> str:
@@ -81,11 +79,14 @@ def cli() -> None:
 
 
 @cli.command()
-@click.option("--n", "n_qubits", type=int, required=True, help=f"Qubit count (1..{KERNEL_QUBIT_CAP}).")
+@click.option("--n", "n_qubits", type=_QUBITS, required=True, help="Qubit count.")
 @click.option("--target", type=int, required=True, help="Target basis label, 1-based.")
-@click.option("--t", "iterations", type=int, required=True, help="Grover iterations.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Sampling seed.")
-@click.option("--shots", type=int, default=None, help="Sample this many measurements.")
+@click.option(
+    "--t", "iterations", type=click.IntRange(0, T_LIMIT), required=True,
+    help=f"Grover iterations (at most one period at {KERNEL_QUBIT_CAP} qubits).",
+)
+@click.option("--seed", type=_SEED, default=0, show_default=True, help="Sampling seed.")
+@click.option("--shots", type=_SHOTS, default=None, help="Sample this many measurements.")
 @click.option(
     "--output", type=click.Path(dir_okay=False), default=None,
     help="Write the sampled histogram CSV here (requires --shots).",
@@ -98,18 +99,8 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
     the probability is read from its two amplitude values.  Only --shots
     builds the 2^n state vector, to sample from it.
     """
-    _require(1 <= n_qubits <= KERNEL_QUBIT_CAP, f"--n must be in 1..{KERNEL_QUBIT_CAP}")
-    _require(1 <= target <= 2**n_qubits, f"--target must be in 1..{2 ** n_qubits}")
-    _require(iterations >= 0, "--t must be non-negative")
-    _require(
-        iterations <= T_LIMIT,
-        f"--t must be at most {T_LIMIT} (one period at {KERNEL_QUBIT_CAP} qubits)",
-    )
-    _require(shots is None or shots >= 1, "--shots must be at least 1")
-    _require(shots is None or shots <= _SHOTS_LIMIT, f"--shots must be at most {_SHOTS_LIMIT}")
-    _require(seed >= 0, "--seed must be non-negative")
-    _require(output is None or shots is not None, "--output requires --shots")
-
+    if output is not None and shots is None:
+        raise click.UsageError("--output requires --shots")
     inst = GroverInstance(n_qubits, target)
     other, tau = pair_after_iterations(inst, iterations)
     p_sim = target_probability(inst, other, tau)
@@ -127,11 +118,11 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
         as_json,
         extra,
     )
-    if histogram is not None and output is not None:
+    if output is not None:
         _write_text(output, _histogram_csv(histogram))
         if not as_json:
             click.echo(f"histogram written to {output}")
-    elif histogram is not None and output is None and not as_json:
+    elif histogram is not None and not as_json:
         click.echo(_histogram_csv(histogram), nl=False)
 
 
@@ -144,7 +135,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 @cli.command()
-@click.option("--n", "n_qubits", type=int, required=True, help=f"Qubit count (1..{KERNEL_QUBIT_CAP}).")
+@click.option("--n", "n_qubits", type=_QUBITS, required=True, help="Qubit count.")
 @click.option("--target", type=int, required=True, help="Target basis label, 1-based.")
 @click.option("--t-max", type=int, default=None, help="Last iteration (default: one period).")
 @click.option(
@@ -153,13 +144,7 @@ def _write_text(path: str, text: str) -> None:
 )
 def curve(n_qubits, target, t_max, output) -> None:
     """Emit the success-probability curve CSV over one period and report the peak."""
-    _require(1 <= n_qubits <= KERNEL_QUBIT_CAP, f"--n must be in 1..{KERNEL_QUBIT_CAP}")
-    _require(1 <= target <= 2**n_qubits, f"--target must be in 1..{2 ** n_qubits}")
-    inst = GroverInstance(n_qubits, target)
-    try:
-        rows = probability_curve(inst, t_max)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    rows = probability_curve(GroverInstance(n_qubits, target), t_max)
     csv_text = curve_to_csv(rows)
     peak_t = max(rows, key=lambda r: r.p_closed_form).t
     if output == "-":
@@ -171,19 +156,18 @@ def curve(n_qubits, target, t_max, output) -> None:
 
 
 @cli.command()
-@click.option("--n", "n_qubits", type=int, required=True, help="Qubit count.")
+@click.option("--n", "n_qubits", type=click.IntRange(1, 60), required=True, help="Qubit count.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text.")
 def optimal(n_qubits, as_json) -> None:
     """Report the real-valued optimum pi/(4 theta) - 1/2 and its floor/ceil candidates."""
-    _require(1 <= n_qubits <= 60, "--n must be in 1..60")
     opt = optimal_iterations(grover_angles(2**n_qubits))
     _report({"n": n_qubits}, dataclasses.asdict(opt), as_json)
 
 
 @cli.command()
 @click.option("--m", "modulus", type=int, required=True, help="Modulus to factor (>= 6).")
-@click.option("--seed", type=int, default=1, show_default=True, help="Sampling seed.")
-@click.option("--shots", type=int, default=10000, show_default=True, help="Measurements.")
+@click.option("--seed", type=_SEED, default=1, show_default=True, help="Sampling seed.")
+@click.option("--shots", type=_SHOTS, default=10000, show_default=True, help="Measurements.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text.")
 def factor(modulus, seed, shots, as_json) -> None:
     """Factor a modulus by amplified divisor search plus classical verification.
@@ -191,14 +175,6 @@ def factor(modulus, seed, shots, as_json) -> None:
     Exits 0 when a factor is confirmed, 2 when the search space holds no
     (unique) divisor or the sampled outcome fails the divisibility check.
     """
-    _require(modulus >= 6, "--m must be at least 6")
-    _require(
-        modulus < MODULUS_LIMIT,
-        f"--m must be below 2**{2 * KERNEL_QUBIT_CAP} ({KERNEL_QUBIT_CAP} qubits)",
-    )
-    _require(shots >= 1, "--shots must be at least 1")
-    _require(shots <= _SHOTS_LIMIT, f"--shots must be at most {_SHOTS_LIMIT}")
-    _require(seed >= 0, "--seed must be non-negative")
     try:
         result = run_factor_search(modulus, seed, shots)
     except (NoSolutionError, MultipleSolutionsError) as exc:
@@ -233,12 +209,7 @@ def factor(modulus, seed, shots, as_json) -> None:
 )
 def verify(n_max, t_max, seed, inject_fault, output) -> None:
     """Run all registered property checks; exit 0 iff every one passes."""
-    try:
-        config = VerificationConfig(
-            n_max=n_max, t_max=t_max, seed=seed, inject_fault=inject_fault
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    config = VerificationConfig(n_max=n_max, t_max=t_max, seed=seed, inject_fault=inject_fault)
     report = run_all(config)
     text = report.to_json()
     if output is None:
@@ -254,11 +225,19 @@ def verify(n_max, t_max, seed, inject_fault, output) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point mapping click's error handling onto the exit-status contract."""
+    """Entry point mapping click's error handling onto the exit-status contract.
+
+    A ValueError that escapes a command is the library refusing its input
+    (target range, modulus, ``curve --t-max``, verify's config) or a failed
+    gate such as NormalizationError: it exits 1 with its message.
+    """
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:
         exc.show()
+        return 1
+    except ValueError as exc:
+        click.echo(f"Error: {exc}", err=True)
         return 1
     except click.exceptions.Abort:
         click.echo("aborted", err=True)

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from groversim.cli import main
+from groversim.states import NormalizationError
 
 P3_N16 = 0.9613189697265625
 
@@ -115,9 +116,10 @@ class TestSimulate:
         assert lines["p_closed_form"].strip() == "1"
 
     def test_out_of_range_target_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--n", "4", "--target", "99", "--t", "1")
+        code, out, err = run_cli(capsys, "simulate", "--n", "4", "--target", "99", "--t", "1")
         assert code == 1
-        assert "--target" in err
+        assert out == ""
+        assert "target must be in 1..16, got 99" in err and "Traceback" not in err
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
@@ -156,7 +158,8 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--n", "20", "--target", "1", "--t", "6434")
         assert code == 1
         assert out == ""
-        assert "--t must be at most 6433" in err and "Traceback" not in err
+        assert "Invalid value for '--t': 6434 is not in the range 0<=x<=6433." in err
+        assert "Traceback" not in err
         assert time.perf_counter() - started < 1.0
 
     def test_negative_seed_is_usage_error(self, capsys):
@@ -330,7 +333,7 @@ class TestFactor:
         code, out, err = run_cli(capsys, "factor", "--m", "2000000000000074", "--json")
         assert code == 1
         assert out == ""
-        assert "--m must be below 2**48" in err and "Traceback" not in err
+        assert "modulus must be below 2**48" in err and "Traceback" not in err
         assert time.perf_counter() - started < 1.0
 
     def test_negative_seed_is_usage_error(self, capsys):
@@ -468,5 +471,90 @@ def test_shots_beyond_the_cap_is_usage_error(capsys, command, shots):
     code, out, err = run_cli(capsys, *command, "--shots", str(shots))
     assert code == 1
     assert out == ""
-    assert "--shots must be at most 16777216" in err and "Traceback" not in err
+    assert f"Invalid value for '--shots': {shots} is not in the range 1<=x<=16777216." in err
+    assert "Traceback" not in err
     assert time.perf_counter() - started < 1.0
+
+
+# Every bounded input of every command: its first refused value, the message
+# that states the bound, and where cheap the last value it accepts.
+SIM = "simulate --n 3 --target 1 --t 0"
+CURVE = "curve --n 4 --target 11"
+VERIFY = "verify --n-max 1 --t-max 1"
+BOUNDED_INPUTS = [
+    ("simulate --n 0 --target 1 --t 0", "1<=x<=24", "simulate --n 1 --target 1 --t 0"),
+    ("simulate --n 25 --target 1 --t 0", "1<=x<=24", "simulate --n 24 --target 1 --t 0"),
+    ("simulate --n 3 --target 0 --t 0", "target must be in 1..8, got 0", SIM),
+    (
+        "simulate --n 3 --target 9 --t 0", "target must be in 1..8, got 9",
+        "simulate --n 3 --target 8 --t 0",
+    ),
+    ("simulate --n 3 --target 1 --t -1", "0<=x<=6433", SIM),
+    ("simulate --n 3 --target 1 --t 6434", "0<=x<=6433", "simulate --n 3 --target 1 --t 6433"),
+    (f"{SIM} --seed -1", "x>=0", f"{SIM} --seed 0"),
+    (f"{SIM} --shots 0", "1<=x<=16777216", f"{SIM} --shots 1"),
+    (f"{SIM} --shots 16777217", "1<=x<=16777216", None),
+    ("curve --n 0 --target 1", "1<=x<=24", "curve --n 1 --target 1"),
+    ("curve --n 25 --target 1 --t-max 0", "1<=x<=24", "curve --n 24 --target 1 --t-max 0"),
+    ("curve --n 3 --target 0", "target must be in 1..8, got 0", "curve --n 3 --target 1"),
+    ("curve --n 3 --target 9", "target must be in 1..8, got 9", "curve --n 3 --target 8"),
+    (f"{CURVE} --t-max -1", "t_max must be non-negative", f"{CURVE} --t-max 0"),
+    (f"{CURVE} --t-max 6", "single-period bound 5", f"{CURVE} --t-max 5"),
+    ("optimal --n 0", "1<=x<=60", "optimal --n 1"),
+    ("optimal --n 61", "1<=x<=60", "optimal --n 60"),
+    ("factor --m 5", "modulus must be at least 6", "factor --m 6"),
+    ("factor --m 281474976710656", "modulus must be below 2**48", None),
+    ("factor --m 143 --seed -1", "x>=0", "factor --m 143 --seed 0"),
+    ("factor --m 143 --shots 0", "1<=x<=16777216", "factor --m 143 --shots 1"),
+    ("factor --m 143 --shots 16777217", "1<=x<=16777216", None),
+    ("verify --n-max 0", "n_max must be in 1..12", VERIFY),
+    ("verify --n-max 13", "n_max must be in 1..12", None),
+    ("verify --n-max 1 --t-max 0", "t_max must be in 1..6433", VERIFY),
+    ("verify --n-max 1 --t-max 6434", "t_max must be in 1..6433", None),
+    (f"{VERIFY} --seed -1", "seed must be non-negative", f"{VERIFY} --seed 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "refused, bound, accepted", BOUNDED_INPUTS, ids=[row[0] for row in BOUNDED_INPUTS]
+)
+def test_each_bound_refuses_with_exit_1_before_any_work(capsys, refused, bound, accepted):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *refused.split())
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and bound in errors[0]
+    assert "Traceback" not in err
+    assert time.perf_counter() - started < 1.0
+    if accepted is not None:
+        code, _, err = run_cli(capsys, *accepted.split())
+        assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "command, ranges",
+    [
+        ("simulate", ["1<=x<=24", "0<=x<=6433", "x>=0", "1<=x<=16777216"]),
+        ("curve", ["1<=x<=24"]),
+        ("optimal", ["1<=x<=60"]),
+        ("factor", ["x>=0", "1<=x<=16777216"]),
+    ],
+)
+def test_help_shows_each_declared_range(capsys, command, ranges):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    for text in ranges:
+        assert text in out
+
+
+def test_a_value_error_escaping_a_command_exits_1_with_one_line(capsys, monkeypatch):
+    def broken(inst, iterations):
+        raise NormalizationError("squared norm nan differs from 1 by more than 1e-10")
+
+    monkeypatch.setattr("groversim.cli.pair_after_iterations", broken)
+    code, out, err = run_cli(capsys, "simulate", "--n", "3", "--target", "1", "--t", "1")
+    assert (code, out) == (1, "")
+    assert err == "Error: squared norm nan differs from 1 by more than 1e-10\n"
+    # NoSolutionError is a ValueError too, but factor reports it as a negative result
+    assert run_cli(capsys, "factor", "--m", "7") == (2, "", "7 has no divisor in [2, 2]\n")
