@@ -29,7 +29,6 @@ from .grover import (
     pair_after_iterations,
     success_probability,
     target_probability,
-    two_valued_state,
 )
 from .states import sample_measurement
 
@@ -125,8 +124,8 @@ def run_factor_search(m: int, seed: int, shots: int) -> FactorResult:
     """
     inst = build_factor_instance(m)
     opt = optimal_iterations(grover_angles(inst.n_states))
-    state = two_valued_state(inst, *pair_after_iterations(inst, opt.t_best))
-    histogram = sample_measurement(state, seed, shots)
+    other, tau = pair_after_iterations(inst, opt.t_best)
+    histogram = sample_measurement((inst.n_states, inst.target - 1, other, tau), seed, shots)
     modal_label = max(histogram, key=histogram.get)  # first, so smallest, on ties
     candidate = modal_label - 1
     if 2 <= candidate < m and m % candidate == 0:

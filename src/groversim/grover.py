@@ -5,9 +5,11 @@ the Grover step G = D U_f) so the paper's claims about them can be checked.
 Simulation does not use them: ``kernel_steps`` is the one stepping loop.  A
 step treats every non-target amplitude alike, so the state holds two values;
 the kernel steps that pair, O(n) per step and bit for bit the 2^n vector's.
-``target_probability`` reads the pair, and ``two_valued_state`` is the one
-builder of the 2^n state from it, for sampling.  ``plane_state`` builds
-cos(a)|tau_perp> + sin(a)|tau>; the closed form is a = (2t+1) theta.
+``target_probability`` reads the pair, and so does the sampler
+(``states.sample_measurement``); ``two_valued_state`` is the one builder of
+the 2^n state from it, for the checks that compare states elementwise.
+``plane_state`` builds cos(a)|tau_perp> + sin(a)|tau>; the closed form is
+a = (2t+1) theta.
 
 All angles derive from theta = arcsin(1/sqrt(N)) for a search space of size
 N = 2^n; the success probability after t iterations is sin^2((2t+1) theta),
@@ -26,7 +28,10 @@ import numpy as np
 from .linalg import matmul
 from .states import QState, adopt_qstate, require_unit_norm
 
-#: Qubit ceiling the CLI enforces, bound by the 2^n vector `simulate --shots` and `factor` sample.
+#: Qubit ceiling the CLI enforces: the largest n at which the tests pin the
+#: kernel's drift from the closed form.  Only ``verify``, on its n <= 12 grid,
+#: builds a 2^n vector; ``T_LIMIT`` and ``factorization.MODULUS_LIMIT`` derive
+#: from the cap.
 KERNEL_QUBIT_CAP = 24
 
 # Rounding slack on t_real: snaps N=4's t_real to exactly 1, and lets the

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from groversim.cli import main
+from groversim.grover import grover_angles, optimal_iterations
 from groversim.states import NormalizationError
 
 P3_N16 = 0.9613189697265625
@@ -199,21 +200,25 @@ class TestSimulate:
         assert peak <= 64 * 1024
         assert abs(doc["difference"]) < 1e-10
 
-    def test_peak_memory_with_shots_adds_one_float_vector(self, capsys):
-        # sampling squares and accumulates |amplitude| in one float array, 8 B per
-        # amplitude next to the 8 B real state; the slack covers imports and shots
+    def test_peak_memory_with_shots_is_the_draws_and_the_histogram(self, capsys):
+        # the sampler reads the kernel's pair: about 40 B per draw off the target,
+        # and about 150 B per label of the histogram, against 16 B per amplitude
+        # (4 MiB here) when it squared and summed the 2^n vector
+        shots = 1000
+        argv = [
+            "simulate", "--n", "18", "--target", "3", "--t", "10",
+            "--shots", str(shots), "--json",
+        ]
+        main(argv)  # numpy imports numpy.random on first use, about 1 MiB
         tracemalloc.start()
         try:
-            code = main([
-                "simulate", "--n", "18", "--target", "3", "--t", "10",
-                "--shots", "1000", "--json",
-            ])
+            code = main(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         capsys.readouterr()
         assert code == 0
-        assert peak <= 16 * 2**18 + 2 * 2**20
+        assert peak <= 64 * 1024 + 256 * shots
 
     def test_unknown_option_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--frobnicate")
@@ -546,6 +551,77 @@ def test_help_shows_each_declared_range(capsys, command, ranges):
     assert code == 0
     for text in ranges:
         assert text in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "24", "--target", "1", "--t", "3216", "--shots", "10000", "--json"],
+        ["factor", "--m", str(16777213 * 16777199)],
+    ],
+    ids=["simulate", "factor"],
+)
+def test_sampling_at_the_qubit_cap_holds_no_vector(capsys, argv):
+    # sampling the 2^24 vector took 0.2-0.3 s and peaked at 257 MiB
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert time.perf_counter() - started < 1.0
+    assert peak <= 2 * 2**20
+
+
+def _simulate_sweep():
+    for n in range(1, 11):
+        n_states = 2**n
+        t_best = optimal_iterations(grover_angles(n_states)).t_best
+        for target in sorted({1, n_states // 2 + 1, n_states}):
+            for t in sorted({0, 1, t_best}):
+                yield [
+                    "simulate", "--n", str(n), "--target", str(target), "--t", str(t),
+                    "--shots", "1000", "--json",
+                ]
+
+
+# Taken with the sampler that squared and summed the 2^n vector, before it read
+# the CDF from the kernel's pair: every byte of these reports stays the same.
+@pytest.mark.parametrize(
+    "argvs, sha256",
+    [
+        (
+            [["factor", "--m", str(m), "--json"] for m in range(6, 1201)],
+            "b3b0e612c953361f1c6c5c79a0c8c778c035ed9dc8bd181957705844721f63d4",
+        ),
+        (
+            list(_simulate_sweep()),
+            "f1dc6e68c0abb1d3a345cfb2e6229d8f45286f5e88bd0d0434806afca9529240",
+        ),
+    ],
+    ids=["factor-6..1200", "simulate-n1..10"],
+)
+def test_sampled_reports_are_pinned_over_a_sweep(capsys, argvs, sha256):
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == sha256
+
+
+def test_a_pair_off_the_unit_norm_fails_the_samplers_gate(capsys, monkeypatch):
+    # factor reads no probability from the pair: the sampler's gate is its only one
+    monkeypatch.setattr(
+        "groversim.factorization.pair_after_iterations", lambda inst, t: (0.25, 0.97)
+    )
+    code, out, err = run_cli(capsys, "factor", "--m", "143")
+    assert (code, out) == (1, "")
+    errors = [line for line in err.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and "squared norm" in errors[0]
+    assert "Traceback" not in err
 
 
 def test_a_value_error_escaping_a_command_exits_1_with_one_line(capsys, monkeypatch):

@@ -11,10 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groversim.grover import uniform_superposition
+from groversim.grover import (
+    GroverInstance,
+    grover_angles,
+    max_t_in_period,
+    optimal_iterations,
+    pair_after_iterations,
+    two_valued_state,
+    uniform_superposition,
+)
 from groversim.linalg import DimensionMismatchError, is_unitary, matmul, tensor_product_list
 from groversim.states import (
     NormalizationError,
+    _cdf_pieces,
     QState,
     adopt_qstate,
     basis_state,
@@ -25,7 +34,14 @@ from groversim.states import (
     sample_measurement,
 )
 
-from oracles import counter_histogram, kron_fold, measurement_probability, random_structured_unitary
+from oracles import (
+    counter_histogram,
+    kron_fold,
+    measurement_probability,
+    random_structured_unitary,
+    vector_cdf,
+    vector_histogram,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -273,27 +289,43 @@ class TestMeasurementProbability:
 
 
 class TestSampling:
+    """``sample_measurement`` on the two-valued states the Grover kernel steps."""
+
     def test_deterministic_state_yields_single_outcome(self):
-        hist = sample_measurement(basis_state(3, 1), rng_seed=123, shots=500)
+        # N=4 after one step: all the amplitude sits on the target
+        pair = pair_after_iterations(GroverInstance(2, 1), 1)
+        assert pair == (0.0, 1.0)
+        hist = sample_measurement((4, 0, *pair), rng_seed=123, shots=500)
         assert hist == {1: 500}
 
     def test_uniform_state_concentrates(self):
-        uniform = adopt_qstate(np.full(4, 0.5, dtype=complex))
+        pair = pair_after_iterations(GroverInstance(2, 3), 0)
+        assert pair == (0.5, 0.5)
         shots = 100_000
-        hist = sample_measurement(uniform, rng_seed=77, shots=shots)
+        hist = sample_measurement((4, 2, *pair), rng_seed=77, shots=shots)
         assert sorted(hist) == [1, 2, 3, 4]
         for count in hist.values():
             assert abs(count / shots - 0.25) < 0.01
 
     def test_same_seed_same_histogram(self):
-        q = random_qstate(4, np.random.default_rng(10))
-        a = sample_measurement(q, rng_seed=42, shots=1000)
-        b = sample_measurement(q, rng_seed=42, shots=1000)
+        state = (16, 4, *pair_after_iterations(GroverInstance(4, 5), 2))
+        a = sample_measurement(state, rng_seed=42, shots=1000)
+        b = sample_measurement(state, rng_seed=42, shots=1000)
         assert a == b
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
-            sample_measurement(basis_state(1, 1), rng_seed=1, shots=0)
+            sample_measurement((2, 0, INV_SQRT2, INV_SQRT2), rng_seed=1, shots=0)
+
+    @pytest.mark.parametrize(
+        "state",
+        [(4, 0, 0.5, 0.5 + 1e-9), (4, 3, 0.5 - 1e-9, 0.5), (2, 0, float("nan"), 1.0)],
+        ids=["tau-high", "other-low", "nan"],
+    )
+    def test_a_pair_off_the_unit_norm_is_refused(self, state):
+        # no 2^n vector and no adopt_qstate stand in front of the draws
+        with pytest.raises(NormalizationError):
+            sample_measurement(state, rng_seed=1, shots=10)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -306,6 +338,7 @@ class TestSampling:
     def test_histogram_matches_the_counter_reference_in_label_order(
         self, n, state_seed, sparse, rng_seed, shots
     ):
+        # the vector reference the pair sampler is pinned against, on general states
         rng = np.random.default_rng(state_seed)
         v = random_qstate(n, rng).amplitudes.copy()
         if sparse:  # zeros make flat CDF steps, which both samplers must skip alike
@@ -313,9 +346,139 @@ class TestSampling:
             v[rng.integers(v.shape[0])] += 1.0
             v /= np.linalg.norm(v)
         q = adopt_qstate(v)
-        hist = sample_measurement(q, rng_seed, shots)
+        hist = vector_histogram(q.amplitudes, rng_seed, shots)
         assert hist == counter_histogram(q.amplitudes, rng_seed, shots)
         assert list(hist) == sorted(hist)
+
+
+def pieces_and_lengths(n_states, index, other, tau):
+    """The rows of ``_cdf_pieces`` for the pair, each with its entry count."""
+    _, pieces = _cdf_pieces(n_states, index, other * other, tau * tau)
+    ends = [row[0] for row in pieces[1:]] + [n_states]
+    return [(row, end - row[0]) for row, end in zip(pieces, ends)]
+
+
+def expanded_cdf(n_states, index, other, tau) -> np.ndarray:
+    """Every entry of ``_cdf_pieces``, each piece written out as start + j * step * ulp."""
+    return np.concatenate([
+        start + np.arange(length) * (step * ulp)
+        for (_, start, _, step, ulp), length in pieces_and_lengths(n_states, index, other, tau)
+    ])
+
+
+def assert_samples_as_the_vector(n, target, other, tau, rng_seed, shots, check_cdf=True):
+    """The pair sampler's histogram, in content and label order, is the vector sampler's."""
+    amplitudes = two_valued_state(GroverInstance(n, target), other, tau).amplitudes
+    if check_cdf:
+        assert np.array_equal(expanded_cdf(1 << n, target - 1, other, tau), vector_cdf(amplitudes))
+    hist = sample_measurement((1 << n, target - 1, other, tau), rng_seed, shots)
+    expected = vector_histogram(amplitudes, rng_seed, shots)
+    assert hist == expected
+    assert list(hist) == list(expected)
+
+
+# other = a * 2^-27 with a odd: other^2 / ulp is a rounding tie in [1/2, 1), and
+# the sum enters that binade at entry 513 as an odd multiple of the ulp
+TIE_OTHER = 4188233 * 2.0**-27
+TIE_TAU = math.sqrt(1.0 - 1023 * TIE_OTHER * TIE_OTHER)
+
+
+class TestSamplingFromThePair:
+    """The piece CDF and the histograms against the vector sampler in ``oracles``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        target=st.sampled_from([1, 2, 128, 129, "N", "any"]),
+        t=st.sampled_from([0, 1, "t_best", "max_t_in_period", "any"]),
+        data=st.data(),
+        rng_seed=st.integers(0, 2**64),
+        shots=st.integers(1, 5000),
+    )
+    def test_cdf_and_histogram_equal_the_vector_samplers(self, n, target, t, data, rng_seed, shots):
+        n_states = 1 << n
+        if target == "N":
+            target = n_states
+        elif target == "any":
+            target = data.draw(st.integers(1, n_states), label="any target")
+        target = min(target, n_states)
+        angles = grover_angles(n_states)
+        period = max_t_in_period(angles)
+        t = {
+            "t_best": optimal_iterations(angles).t_best,
+            "max_t_in_period": period,
+            "any": data.draw(st.integers(0, period), label="any t") if t == "any" else None,
+        }.get(t, t)
+        other, tau = pair_after_iterations(GroverInstance(n, target), t)
+        assert_samples_as_the_vector(n, target, other, tau, rng_seed, shots)
+
+    def test_n_equals_2(self):
+        for target in (1, 2):
+            for t in (0, 1):
+                other, tau = pair_after_iterations(GroverInstance(1, target), t)
+                assert_samples_as_the_vector(1, target, other, tau, 5, 1000)
+
+    def test_n4_at_t1_is_the_exact_pair(self):
+        # other**2 is 0: the CDF is flat at 0 before the target and at 1 after it
+        for target in (1, 2, 4):
+            other, tau = pair_after_iterations(GroverInstance(2, target), 1)
+            assert (other, tau) == (0.0, 1.0)
+            assert_samples_as_the_vector(2, target, other, tau, 6, 1000)
+
+    @pytest.mark.parametrize(
+        "n, target, pair",
+        [
+            # other**2 = 2^-60, below half an ulp (2^-54) of the sums after the target
+            (14, 100, (2.0**-30, math.sqrt(1.0 - (2**14 - 1) * 2.0**-60))),
+            # the one t_best up to the cap where the kernel's other**2 (4.9e-18) does
+            (22, 1, pair_after_iterations(GroverInstance(22, 1), 1608)),
+        ],
+        ids=["n14-made", "n22-t_best"],
+    )
+    def test_delta_zero_stall(self, n, target, pair):
+        lengths = pieces_and_lengths(1 << n, target - 1, *pair)
+        assert any(row[3] == 0 and length > 1000 for row, length in lengths)
+        assert_samples_as_the_vector(n, target, *pair, 7, 10000, check_cdf=n <= 14)
+
+    def test_a_ties_first_step(self):
+        for target in (1, 1024):
+            lengths = pieces_and_lengths(1024, target - 1, TIE_OTHER, TIE_TAU)
+            # a one-entry piece that no binade crossing, target or override ends
+            assert any(
+                length == 1 and row[0] not in (0, target - 1, 1023)
+                and math.frexp(row[1])[1] == math.frexp(lengths[k + 1][0][1])[1]
+                for k, (row, length) in enumerate(lengths[:-1])
+            )
+            assert_samples_as_the_vector(10, target, TIE_OTHER, TIE_TAU, 8, 5000)
+
+    @pytest.mark.parametrize("n", [3, 9, 14])
+    def test_target_n_is_the_override(self, n):
+        other, tau = pair_after_iterations(GroverInstance(n, 1 << n), 1)
+        assert_samples_as_the_vector(n, 1 << n, other, tau, 9, 5000)
+
+    @pytest.mark.parametrize("n", [3, 9, 14])
+    def test_target_1_has_no_lower_end(self, n):
+        other, tau = pair_after_iterations(GroverInstance(n, 1), 1)
+        assert_samples_as_the_vector(n, 1, other, tau, 10, 5000)
+
+    @pytest.mark.parametrize("rng_seed", range(5))
+    def test_one_shot(self, rng_seed):
+        other, tau = pair_after_iterations(GroverInstance(6, 17), 0)
+        assert_samples_as_the_vector(6, 17, other, tau, rng_seed, 1)
+
+    @pytest.mark.parametrize(
+        "n, target, t",
+        [
+            (20, 349526, 0),
+            (20, 349526, 804),
+            pytest.param(24, 5592406, 0, marks=pytest.mark.slow),
+            pytest.param(24, 5592406, 3216, marks=pytest.mark.slow),
+        ],
+    )
+    def test_histograms_at_scale(self, n, target, t):
+        # the reference holds the vector and its CDF: 384 MiB at n=24
+        other, tau = pair_after_iterations(GroverInstance(n, target), t)
+        assert_samples_as_the_vector(n, target, other, tau, 11, 10000, check_cdf=False)
 
 
 def test_random_qstate_is_normalized():
