@@ -7,8 +7,9 @@ boundary, so basis label ``i`` always means storage index ``i - 1``.
 
 Matrices are validated on entry by :func:`as_matrix`, which rejects
 non-finite entries (NaN/Inf); shape mismatches raise
-:class:`DimensionMismatchError`.  Vectors are validated where they become
-states, by :func:`groversim.states.adopt_qstate`.
+:class:`DimensionMismatchError`.  :func:`tensor_product_list` validates its
+2x2 factors the same way, all in one pass.  Vectors are validated where they
+become states, by :func:`groversim.states.adopt_qstate`.
 """
 
 from __future__ import annotations
@@ -83,17 +84,20 @@ def tensor_product_list(ms: Sequence[np.ndarray]) -> np.ndarray:
     and with them the verify report.
 
     An empty list is rejected (the product is not defined here), as is any
-    factor that is not 2x2.
+    factor that is not 2x2 or holds a NaN or an infinity.  The factors are
+    validated together, as one (k, 2, 2) array.
     """
     if len(ms) == 0:
         raise ValueError("tensor product of an empty list is undefined")
-    mats = []
-    for m in ms:
-        m = as_matrix(m)
-        if m.shape != (2, 2):
-            raise ValueError(f"every tensor factor must be 2x2, got shape {m.shape}")
-        mats.append(m)
+    try:
+        mats = np.asarray(ms, dtype=np.complex128)
+    except ValueError as exc:  # factors of different shapes
+        raise ValueError("every tensor factor must be 2x2, got a ragged list") from exc
+    if mats.shape[1:] != (2, 2):
+        raise ValueError(f"every tensor factor must be 2x2, got shape {mats.shape[1:]}")
+    if not np.isfinite(mats).all():
+        raise ValueError("non-finite entries are not admitted")
     acc = np.ones((2, 2), dtype=np.complex128) * mats[-1]
-    for m in reversed(mats[:-1]):
+    for m in mats[-2::-1]:
         acc = (acc[None, :, None, :] * m[:, None, :, None]).reshape(2 * len(acc), -1)
     return acc

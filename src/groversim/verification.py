@@ -6,6 +6,13 @@ deterministic for a given config (each check derives its own seed), run
 independently, and record a worst-case residual so the report shows how much
 margin a pass had.
 
+A check computes only what its property states.  T1.11 evolves a state
+through the tensor layers it draws, one 2x2 factor at a time, and never forms
+their product; T1.3 and T1.4, whose properties are about the matrix, form it.
+T2.3 steps |phi0> by the dense Grover matrix G = D U_f, one matrix-vector
+product per t, and compares the kernel's (other, tau) pair with the closed
+form's two values after passing the pair through the state's norm gate.
+
 Residual conventions:
 
 * closeness checks report a max-norm distance and pass when it is below the
@@ -25,7 +32,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -44,7 +51,6 @@ from .grover import (
     oracle,
     plane_state,
     success_probability,
-    two_valued_state,
     uniform_superposition,
 )
 from .linalg import (
@@ -54,7 +60,14 @@ from .linalg import (
     tensor_product_list,
     unitarity_residual,
 )
-from .states import basis_state, completeness_residual, hadamard, projector, random_qstate
+from .states import (
+    basis_state,
+    completeness_residual,
+    hadamard,
+    projector,
+    random_qstate,
+    require_unit_norm,
+)
 
 # Residual recorded when a check body raises instead of measuring.
 _ERROR_RESIDUAL = 1e300
@@ -97,9 +110,9 @@ def _faulty_diffusion(n_qubits: int) -> np.ndarray:
     return 1.01 * diffusion(n_qubits)
 
 
-def _random_structured_unitary(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Product of 1..3 tensor layers of H / phase-diagonal / identity factors."""
-    u = None
+def _random_layers(n_qubits: int, rng: np.random.Generator) -> list[list[np.ndarray]]:
+    """1..3 tensor layers, each a list of ``n_qubits`` H / phase-diagonal / identity factors."""
+    layers = []
     for _ in range(int(rng.integers(1, 4))):
         mats = []
         for _q in range(n_qubits):
@@ -111,9 +124,29 @@ def _random_structured_unitary(n_qubits: int, rng: np.random.Generator) -> np.nd
                 mats.append(np.diag([1.0, np.exp(1j * phi)]).astype(np.complex128))
             else:
                 mats.append(np.eye(2, dtype=np.complex128))
+        layers.append(mats)
+    return layers
+
+
+def _random_structured_unitary(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """The product L1 L2 ... of the tensor layers ``_random_layers`` draws."""
+    u = None
+    for mats in _random_layers(n_qubits, rng):
         layer = tensor_product_list(mats)
         u = layer if u is None else u @ layer
     return u
+
+
+def _apply_layers(layers: list[list[np.ndarray]], v: np.ndarray) -> np.ndarray:
+    """``L1 (L2 (... |v>))`` for the layers L = ``tensor_product_list(mats)``, never formed.
+
+    Factor q of a layer acts on bit n-1-q of the 0-based index, that is on
+    axis 1 of the vector viewed as (2^q, 2, 2^(n-1-q)).
+    """
+    for mats in reversed(layers):
+        for q, m in enumerate(mats):
+            v = np.matmul(m, v.reshape(1 << q, 2, -1)).reshape(-1)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +193,9 @@ def _check_norm_conservation(cfg: VerificationConfig, seed: int) -> tuple[float,
     worst = 0.0
     for n in range(1, n_hi + 1):
         for _ in range(25):
-            u = _random_structured_unitary(n, rng)
+            layers = _random_layers(n, rng)
             q = random_qstate(n, rng)
-            evolved = u @ q.amplitudes
+            evolved = _apply_layers(layers, q.amplitudes)
             worst = max(worst, abs(float(np.real(np.vdot(evolved, evolved))) - 1.0))
     return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 25}
 
@@ -215,25 +248,41 @@ def _check_phase_flip(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
     return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 100}
 
 
+def _stepped_states(g: np.ndarray, start: np.ndarray) -> Iterator[np.ndarray]:
+    """G^t |start> for t = 0, 1, 2, ...: one matrix-vector product per step."""
+    v = start
+    while True:
+        yield v
+        v = g @ v
+
+
 def _check_closed_form(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
     n_lo, n_hi = 2, min(cfg.n_max, 6)
     diffusion_op = _faulty_diffusion if cfg.inject_fault else diffusion
     worst = 0.0
     for n in range(n_lo, n_hi + 1):
+        n_states = 1 << n
         start = uniform_superposition(n).amplitudes
-        for target in range(1, (1 << n) + 1):
+        d = diffusion_op(n)
+        for target in range(1, n_states + 1):
             inst = GroverInstance(n, target)
-            g = diffusion_op(n) @ oracle(inst)
-            # G^t by left multiplication, one factor per t
-            g_pow = np.eye(1 << n, dtype=np.complex128)
-            for t, (other, tau) in zip(range(cfg.t_max + 1), kernel_steps(inst)):
-                if t:
-                    g_pow = g @ g_pow
+            steps = zip(
+                range(cfg.t_max + 1),
+                _stepped_states(d @ oracle(inst), start),
+                kernel_steps(inst),
+            )
+            for t, sim, (other, tau) in steps:
                 closed = closed_form_state(inst, t).amplitudes
-                sim_matrix = g_pow @ start
-                worst = max(worst, float(np.abs(sim_matrix - closed).max()))
-                kernel = two_valued_state(inst, other, tau).amplitudes
-                worst = max(worst, float(np.abs(kernel - closed).max()))
+                worst = max(worst, float(np.abs(sim - closed).max()))
+                # the kernel's pair, behind the norm gate of the state it stands
+                # for, against the closed form's values at the target and at
+                # another index
+                require_unit_norm((n_states - 1) * other * other + tau * tau)
+                worst = max(
+                    worst,
+                    float(abs(other - closed[target % n_states])),
+                    float(abs(tau - closed[target - 1])),
+                )
     return worst, {
         "n_values": list(range(n_lo, n_hi + 1)),
         "targets": "all",

@@ -11,7 +11,9 @@ arithmetic pieces of the kernel's pair.  The kernel reference keeps the
 first kernel: it steps the whole 2^n vector, where the package steps the two
 values that vector holds.  The Born-rule reference reads one amplitude of a
 whole state, where the package reads the kernel's pair; the divisor
-reference is the first scan, one Python ``%`` per candidate.
+reference is the first scan, one Python ``%`` per candidate.  The Grover
+power reference forms G^t by left multiplication, one matrix product per t,
+where the verify harness steps the vector.
 
 ``kernel_state`` is not a reference: it spells the package's one route from
 the kernel's pair to a 2^n state as one call.
@@ -86,6 +88,15 @@ def random_structured_unitary(n_qubits: int, rng: np.random.Generator) -> np.nda
                 factors.append(np.diag([1.0, np.exp(1j * phi)]))
         u = u @ kron_fold(factors)
     return u
+
+
+def grover_power_states(g, start, t_max: int) -> Iterator[np.ndarray]:
+    """G^t @ start for t = 0..t_max, with G^t formed by left multiplication, one factor per t."""
+    g_pow = np.eye(len(start), dtype=np.complex128)
+    for t in range(t_max + 1):
+        if t:
+            g_pow = g @ g_pow
+        yield g_pow @ start
 
 
 def counter_histogram(amplitudes, rng_seed: int, shots: int) -> Counter:

@@ -453,8 +453,16 @@ _MASKED_VALUES = re.compile(r'("(?:elapsed_ms|worst_residual)": )[^,\n]+')
             VERIFY_N3 + ["--inject-fault"], 2, "11/13 checks passed\nfailed: T1.4, T2.3\n",
             "1de68fe332cbbcfcbcb3a5cef50aada097547e9c4d1047f9e00b5c83cb81517e",
         ),
+        (
+            ["verify"], 0, "13/13 checks passed\n",
+            "9e814c21cdffce5c095ad5fe694e52202f35073d53ebb49cad77971d94aaf557",
+        ),
+        (
+            ["verify", "--inject-fault"], 2, "11/13 checks passed\nfailed: T1.4, T2.3\n",
+            "d64bb666a9744acfc47c49393cff793e6375b51f1b6e039dd3fc74de745c6d43",
+        ),
     ],
-    ids=["verify", "verify-inject-fault"],
+    ids=["verify", "verify-inject-fault", "verify-default", "verify-default-inject-fault"],
 )
 def test_verify_report_bytes_are_pinned(capsys, args, code, err, sha256):
     got_code, out, got_err = run_cli(capsys, *args)

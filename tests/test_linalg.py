@@ -206,6 +206,21 @@ class TestTensorProductList:
         with pytest.raises(ValueError):
             tensor_product_list([np.eye(4)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_rejected(self, bad):
+        factor = np.eye(2, dtype=complex)
+        factor[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            tensor_product_list([hadamard(), factor])
+
+    def test_two_by_three_factor_rejected(self):
+        with pytest.raises(ValueError, match="2x2"):
+            tensor_product_list([np.ones((2, 3))])
+
+    def test_ragged_list_rejected(self):
+        with pytest.raises(ValueError, match="2x2"):
+            tensor_product_list([hadamard(), np.eye(4)])
+
 
 class TestMatrixListGen:
     """Lists of 2x2 gates handed to ``tensor_product_list``."""

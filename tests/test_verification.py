@@ -1,15 +1,27 @@
 """Tests for the property-check harness and its JSON report."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from groversim import verification
+from groversim.grover import GroverInstance, diffusion, kernel_steps, oracle, uniform_superposition
+from groversim.states import random_qstate
 from groversim.verification import (
     CHECK_IDS,
     VerificationConfig,
+    _apply_layers,
+    _faulty_diffusion,
+    _random_layers,
+    _random_structured_unitary,
+    _stepped_states,
     run_all,
     run_check,
 )
+
+from oracles import grover_power_states
 
 EXPECTED_IDS = (
     "T1.3",
@@ -136,3 +148,40 @@ def test_config_bounds():
         VerificationConfig(t_max=6434)  # past one period at the 24-qubit cap
     with pytest.raises(ValueError):
         VerificationConfig(seed=-1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_layers_applied_one_factor_at_a_time_match_the_formed_unitary(n):
+    # T1.11 evolves |q> through the layers; T1.3 and T1.4 form their product
+    for sample in range(10):
+        q = random_qstate(n, np.random.default_rng([n, sample])).amplitudes
+        u = _random_structured_unitary(n, np.random.default_rng(sample))
+        got = _apply_layers(_random_layers(n, np.random.default_rng(sample)), q)
+        assert np.abs(got - u @ q).max() < 1e-13
+
+
+@pytest.mark.parametrize("diffusion_op", [diffusion, _faulty_diffusion])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stepped_states_match_the_formed_grover_powers(n, diffusion_op):
+    start = uniform_superposition(n).amplitudes
+    for target in range(1, (1 << n) + 1):
+        g = diffusion_op(n) @ oracle(GroverInstance(n, target))
+        stepped = zip(_stepped_states(g, start), grover_power_states(g, start, 10))
+        for got, want in stepped:
+            assert np.abs(got - want).max() < 1e-13
+
+
+def test_a_pair_off_the_unit_norm_fails_the_closed_form_check(monkeypatch):
+    # off by 1e-9 in squared norm, the pair is within T2.3's tolerance of the
+    # closed form elementwise: only the norm gate can fail it
+    scale = math.sqrt(1.0 + 1e-9)
+
+    def off_norm_steps(inst):
+        for other, tau in kernel_steps(inst):
+            yield scale * other, scale * tau
+
+    monkeypatch.setattr(verification, "kernel_steps", off_norm_steps)
+    result = run_check("T2.3", SMALL)
+    assert not result.passed
+    assert result.worst_residual == verification._ERROR_RESIDUAL
+    assert result.params["error"].startswith("NormalizationError: squared norm")
