@@ -5,8 +5,10 @@ dimension ``2**n`` with unit squared norm; construction rejects anything
 else, non-finite entries included, rather than silently renormalizing.
 Basis outcomes are labelled 1-based (labels 1 .. 2^n), matching the
 convention used throughout the package; storage index is always
-``label - 1``.  Measurement samples the two-valued states the Grover kernel
-steps, from their two amplitudes, without building the 2^n vector.
+``label - 1``.  Measurement samples the Born distribution of the two-valued
+states the Grover kernel steps, from their two amplitudes: one binomial draw
+for the target and uniform draws over the other labels, without building the
+2^n vector.
 """
 
 from __future__ import annotations
@@ -99,57 +101,6 @@ def completeness_residual(n_qubits: int) -> float:
     return float(np.abs(kets.T @ kets.conj() - np.eye(dim)).max())
 
 
-def _cdf_pieces(n_states: int, index: int, square: float, target_square: float):
-    """The CDF a two-valued state's 2^n vector gives ``np.cumsum``, as O(n) arithmetic pieces.
-
-    The CDF adds ``square`` at every entry but ``index``, which adds
-    ``target_square``, strictly left to right; the last entry is then set to
-    1.0.  Inside one binade [2^e, 2^(e+1)) of the sum, each addition rounds
-    to the binade's ulp u, so it adds the same multiple of u every time;
-    only when square/u is a rounding tie can the first step differ, since
-    round-half-even leaves the sum an even multiple of u after it.  So a
-    piece starts only at the first entry, a binade crossing, a tie's first
-    step, the target's entry and the override, and holds start + j * step * u
-    exactly.  A step of 0 is a stall: ``square`` is below half an ulp of the
-    sum.
-
-    Returns the target's interval [lo, hi), where the draws that measure
-    it land, and the pieces as rows (first entry, first value, last value,
-    step in ulps, ulp); the last row is the override.  Every draw is below
-    1.0, so the override lies above every draw even where the sum drifted
-    past 1: to a draw, the rows are in order.
-    """
-    end = n_states - 1
-    pieces = []
-    i, s, hi = 0, 0.0, 1.0
-    while i < end:
-        if i == index:
-            lo, s = s, s + target_square
-            hi = s
-            pieces.append((i, s, s, 0, 1.0))
-            i += 1
-            continue
-        s += square
-        ulp, step_ulps, length = math.ulp(s), 0, 1
-        nxt = s + square
-        step = nxt + square - nxt
-        if nxt - s == step:  # else a tie's first step: the run starts at nxt
-            stop = index if i < index else end
-            if step == 0.0:
-                length = stop - i
-            else:
-                step_ulps = int(step / ulp)
-                to_top = int((math.ldexp(1.0, math.frexp(s)[1]) - s) / ulp)
-                length = min(stop - i, -(-to_top // step_ulps))
-        last = s + (length - 1) * step_ulps * ulp
-        pieces.append((i, s, last, step_ulps, ulp))
-        i, s = i + length, last
-    if index == end:
-        lo = s
-    pieces.append((end, 1.0, 1.0, 0, 1.0))
-    return (lo, hi), pieces
-
-
 def sample_measurement(
     state: tuple[int, int, float, float], rng_seed: int, shots: int
 ) -> dict[int, int]:
@@ -157,37 +108,30 @@ def sample_measurement(
 
     ``state`` is (N, the target's 0-based index, other, tau): the state with
     amplitude ``tau`` at the target and ``other`` at the N - 1 other labels,
-    which passes the norm gate before any draw.  Draws come from numpy's
-    PCG64 generator seeded with ``rng_seed``; each is placed by inverse-CDF
-    search over the cumulative |amplitude|^2 of the 2^n vector with its top
-    entry set to 1.0, bit for bit, but read from ``_cdf_pieces`` without the
-    vector.  A draw in the target's interval is counted there; any other is
-    placed by a search over the pieces' last values, then by integer
-    arithmetic in units of its piece's ulp.  Only observed labels appear;
-    histograms are reproducible per (seed, shots) pair.
+    which passes the norm gate before any draw.  Its Born distribution is two
+    numbers: the target has probability tau^2 / norm^2, and the other labels
+    share the rest equally.  So, from numpy's PCG64 generator seeded with
+    ``rng_seed``, the target's count is one binomial draw, and each miss is a
+    uniform draw over the other N - 1 indices, shifted past the target's.
+    Dividing by the squared norm the gate accepted keeps p <= 1 for a pair
+    just above unit norm.  Only observed labels appear; histograms are
+    reproducible per (seed, shots) pair.
     """
     n_states, index, other, tau = state
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    require_unit_norm((n_states - 1) * other * other + tau * tau)
-    (lo, hi), pieces = _cdf_pieces(n_states, index, other * other, tau * tau)
-    first, start, last, step, ulp = map(np.array, zip(*pieces))
-    draws = np.random.default_rng(rng_seed).random(shots)
-    rest = draws[(draws < lo) | (draws >= hi)]
-    # the first piece with an entry above the draw; every entry before it is below
-    piece = np.searchsorted(last, rest, side="right")
-    outcomes = first[piece]
-    inside = rest >= start[piece]
-    piece = piece[inside]
-    # start <= draw < last lie in one binade below 1, so the difference is exact
-    ulps = ((rest[inside] - start[piece]) / ulp[piece]).astype(np.int64)
-    outcomes[inside] += ulps // step[piece] + 1
-    labels, counts = np.unique(outcomes, return_counts=True)
+    norm2 = (n_states - 1) * other * other + tau * tau
+    require_unit_norm(norm2)
+    rng = np.random.default_rng(rng_seed)
+    hits = int(rng.binomial(shots, tau * tau / norm2))
+    misses = rng.integers(0, n_states - 1, shots - hits)
+    misses += misses >= index
+    labels, counts = np.unique(misses, return_counts=True)
     at = int(np.searchsorted(labels, index))
     labels, counts = (labels + 1).tolist(), counts.tolist()
-    if rest.size < shots:
+    if hits:
         labels.insert(at, index + 1)
-        counts.insert(at, shots - rest.size)
+        counts.insert(at, hits)
     return dict(zip(labels, counts))
 
 

@@ -3,17 +3,13 @@
 These deliberately use different algorithms from the package code: the
 Kronecker oracles fold ``np.kron`` left to right or evaluate the bit-index
 product formula level by level, where the package folds broadcast products
-from the right, and the matvec oracle is a plain double loop.  The sampling
-references keep the sampler's earlier forms, both over a whole 2^n vector:
-the first, an out-of-place square and cumulative sum and a ``Counter`` of the
-drawn labels; and the vector sampler, whose CDF the package now reads as
-arithmetic pieces of the kernel's pair.  The kernel reference keeps the
-first kernel: it steps the whole 2^n vector, where the package steps the two
-values that vector holds.  The Born-rule reference reads one amplitude of a
-whole state, where the package reads the kernel's pair; the divisor
-reference is the first scan, one Python ``%`` per candidate.  The Grover
-power reference forms G^t by left multiplication, one matrix product per t,
-where the verify harness steps the vector.
+from the right, and the matvec oracle is a plain double loop.  The kernel
+reference keeps the first kernel: it steps the whole 2^n vector, where the
+package steps the two values that vector holds.  The Born-rule reference
+reads one amplitude of a whole state, where the package reads the kernel's
+pair; the divisor reference is the first scan, one Python ``%`` per
+candidate.  The Grover power reference forms G^t by left multiplication, one
+matrix product per t, where the verify harness steps the vector.
 
 ``kernel_state`` is not a reference: it spells the package's one route from
 the kernel's pair to a 2^n state as one call.
@@ -22,7 +18,6 @@ the kernel's pair to a 2^n state as one call.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterator
 
 import numpy as np
@@ -97,31 +92,6 @@ def grover_power_states(g, start, t_max: int) -> Iterator[np.ndarray]:
         if t:
             g_pow = g @ g_pow
         yield g_pow @ start
-
-
-def counter_histogram(amplitudes, rng_seed: int, shots: int) -> Counter:
-    """Inverse-CDF sampling of 1-based labels, counted in first-seen order."""
-    cdf = np.cumsum(np.abs(amplitudes) ** 2)
-    cdf[-1] = 1.0
-    draws = np.random.default_rng(rng_seed).random(shots)
-    return Counter((np.searchsorted(cdf, draws, side="right") + 1).tolist())
-
-
-def vector_cdf(amplitudes) -> np.ndarray:
-    """The cumulative |amplitude|^2, squared and summed in place, with its top entry set to 1.0."""
-    cdf = np.abs(amplitudes)
-    cdf *= cdf
-    np.cumsum(cdf, out=cdf)
-    cdf[-1] = 1.0  # guard the top edge against rounding drift
-    return cdf
-
-
-def vector_histogram(amplitudes, rng_seed: int, shots: int) -> dict[int, int]:
-    """Inverse-CDF sampling of 1-based labels over ``vector_cdf``, counted in label order."""
-    draws = np.random.default_rng(rng_seed).random(shots)
-    outcomes = np.searchsorted(vector_cdf(amplitudes), draws, side="right")
-    indices, counts = np.unique(outcomes, return_counts=True)
-    return dict(zip((indices + 1).tolist(), counts.tolist()))
 
 
 def vector_kernel_steps(inst) -> Iterator[np.ndarray]:
