@@ -94,11 +94,16 @@ def completeness_residual(n_qubits: int) -> float:
     """Max-norm of (sum over all basis projectors) - identity.
 
     The sum of the projectors |i><i| is the one product K^T conj(K) of the
-    stacked basis kets K; every entry is 0 or 1, so it is exact in any order.
+    stacked basis kets K; every entry is 0 or 1, so it is exact in any order,
+    and so is subtracting the identity from its diagonal in place.
     """
     dim = 1 << n_qubits
-    kets = np.array([basis_state(n_qubits, label).amplitudes for label in range(1, dim + 1)])
-    return float(np.abs(kets.T @ kets.conj() - np.eye(dim)).max())
+    kets = np.empty((dim, dim), dtype=np.complex128)
+    for row, label in enumerate(range(1, dim + 1)):
+        kets[row] = basis_state(n_qubits, label).amplitudes
+    total = kets.T @ kets.conj()
+    total.flat[:: dim + 1] -= 1.0
+    return float(np.abs(total).max())
 
 
 def sample_measurement(

@@ -1,11 +1,17 @@
 """Tests for the property-check harness and its JSON report."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groversim
 from groversim import verification
 from groversim.grover import GroverInstance, diffusion, kernel_steps, oracle, uniform_superposition
 from groversim.states import random_qstate
@@ -135,6 +141,54 @@ def test_fault_injection_fails_exactly_the_dependent_checks():
     report = run_all(VerificationConfig(n_max=3, t_max=6, seed=7, inject_fault=True))
     assert report.failed_ids() == ["T1.4", "T2.3"]
     assert report.passed_count == 11
+
+
+def _without_elapsed(result):
+    return {**dataclasses.asdict(result), "elapsed_ms": None}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        VerificationConfig(),
+        VerificationConfig(inject_fault=True),
+        VerificationConfig(n_max=5, t_max=30, seed=7),
+    ],
+    ids=["default", "inject-fault", "n5-t30-seed7"],
+)
+def test_run_all_on_the_pool_equals_serial_run_check(cfg):
+    # field for field, worst_residual compared exactly (== on floats)
+    serial = [_without_elapsed(run_check(check_id, cfg)) for check_id in CHECK_IDS]
+    pooled = [_without_elapsed(result) for result in run_all(cfg).results]
+    assert pooled == serial
+
+
+def test_a_check_that_raises_becomes_its_error_row_inside_the_pool(monkeypatch):
+    def boom(cfg, seed):
+        raise RuntimeError("boom")
+
+    spec = verification.REGISTRY["T2.2"]
+    expected = [_without_elapsed(run_check(check_id, SMALL)) for check_id in CHECK_IDS]
+    monkeypatch.setitem(verification.REGISTRY, "T2.2", dataclasses.replace(spec, runner=boom))
+    report = run_all(SMALL)
+    assert [r.id for r in report.results] == list(EXPECTED_IDS)
+    assert report.failed_ids() == ["T2.2"]
+    row = report.results[CHECK_IDS.index("T2.2")]
+    assert row.worst_residual == verification._ERROR_RESIDUAL
+    assert row.params["error"] == "RuntimeError: boom"
+    others = [_without_elapsed(r) for r in report.results if r.id != "T2.2"]
+    assert others == [row for row in expected if row["id"] != "T2.2"]
+
+
+def test_importing_the_cli_does_not_import_the_thread_pool():
+    # run_all imports concurrent.futures itself, so other commands skip its cost
+    src = str(Path(groversim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, groversim.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_config_bounds():
