@@ -32,7 +32,6 @@ from .grover import (
     target_probability,
 )
 from .states import sample_measurement
-from .verification import VerificationConfig, run_all
 
 
 #: The bounds that belong to the command line, as option types: click refuses a
@@ -210,6 +209,9 @@ def factor(modulus, seed, shots, as_json) -> None:
 )
 def verify(n_max, t_max, seed, inject_fault, output) -> None:
     """Run all registered property checks; exit 0 iff every one passes."""
+    # imported here: only this command needs the dense 2^n stack it loads
+    from .verification import VerificationConfig, run_all
+
     config = VerificationConfig(n_max=n_max, t_max=t_max, seed=seed, inject_fault=inject_fault)
     report = run_all(config)
     text = report.to_json()

@@ -1,15 +1,12 @@
-"""Grover operators, simulation, closed-form dynamics and iteration analytics.
+"""Grover search instances, the two-value kernel and iteration analytics.
 
-The operators are built literally as dense matrices (oracle, diffusion and
-the Grover step G = D U_f) so the paper's claims about them can be checked.
-Simulation does not use them: ``kernel_steps`` is the one stepping loop.  A
-step treats every non-target amplitude alike, so the state holds two values;
-the kernel steps that pair, O(n) per step and bit for bit the 2^n vector's.
-``target_probability`` reads the pair, and so does the sampler
-(``states.sample_measurement``); ``two_valued_state`` is the one builder of
-the 2^n state from it, for the checks that compare states elementwise.
-``plane_state`` builds cos(a)|tau_perp> + sin(a)|tau>; the closed form is
-a = (2t+1) theta.
+Simulation builds no 2^n vector: ``kernel_steps`` is the one stepping loop.
+A step treats every non-target amplitude alike, so the state holds two
+values; the kernel steps that pair, O(n) per step and bit for bit the 2^n
+vector's.  ``target_probability`` reads the pair, and so does the sampler
+(``states.sample_measurement``).  The dense operators and states the paper's
+claims are about (oracle, diffusion, the plane and closed-form states) are
+built in :mod:`groversim.linalg`, for ``verify``.
 
 All angles derive from theta = arcsin(1/sqrt(N)) for a search space of size
 N = 2^n; the success probability after t iterations is sin^2((2t+1) theta),
@@ -25,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import matmul
-from .states import QState, adopt_qstate, require_unit_norm
+from .states import require_unit_norm
 
 #: Qubit ceiling the CLI enforces: the largest n at which the tests pin the
 #: kernel's drift from the closed form.  Only ``verify``, on its n <= 12 grid,
@@ -86,47 +82,6 @@ def grover_angles(n_states: int) -> GroverAngles:
     return GroverAngles(theta=math.asin(1.0 / math.sqrt(n_states)), n_states=n_states)
 
 
-def oracle(inst: GroverInstance) -> np.ndarray:
-    """Phase-flip reflection: diagonal +1 everywhere, -1 at the target label."""
-    d = np.ones(inst.n_states, dtype=np.complex128)
-    d[inst.target - 1] = -1.0
-    return np.diag(d)
-
-
-def diffusion(n_qubits: int) -> np.ndarray:
-    """Inversion about the mean: 2|phi0><phi0| - I for the uniform |phi0>.
-
-    Entries: 1/2^(n-1) off the diagonal, 1/2^(n-1) - 1 on it.
-    """
-    if n_qubits < 1:
-        raise ValueError("qubit count must be at least 1")
-    dim = 1 << n_qubits
-    off = 2.0 / dim
-    d = np.full((dim, dim), off, dtype=np.complex128)
-    np.fill_diagonal(d, off - 1.0)
-    return d
-
-
-def grover_operator(inst: GroverInstance) -> np.ndarray:
-    """One Grover step: the diffusion reflection composed after the oracle."""
-    return matmul(diffusion(inst.n_qubits), oracle(inst))
-
-
-def uniform_superposition(n_qubits: int) -> QState:
-    """H^(x)n |0...0>: every amplitude 1/sqrt(N), built directly."""
-    if n_qubits < 1:
-        raise ValueError("qubit count must be at least 1")
-    dim = 1 << n_qubits
-    return adopt_qstate(np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
-
-
-def two_valued_state(inst: GroverInstance, other: float, tau: float) -> QState:
-    """The state with amplitude ``tau`` at the target and ``other`` everywhere else."""
-    v = np.full(inst.n_states, other)
-    v[inst.target - 1] = tau
-    return adopt_qstate(v)
-
-
 def _mean(n_states: int, leaves: np.ndarray, slot: int, other: float, tau: float) -> float:
     """numpy's ``mean`` of the N-vector holding ``tau`` at the target and ``other``
     elsewhere, bit for bit, in O(n).
@@ -180,7 +135,7 @@ def pair_after_iterations(inst: GroverInstance, t: int) -> tuple[float, float]:
 def target_probability(inst: GroverInstance, other: float, tau: float) -> float:
     """Born probability |tau|^2 of the target in the two-valued state (other, tau).
 
-    The pair passes the gate ``adopt_qstate`` puts on the 2^n vector it
+    The pair passes the gate ``linalg.adopt_qstate`` puts on the 2^n vector it
     stands for, computed from the two values: the squared norm is
     (N - 1) other^2 + tau^2.  The probability is computed as
     ``abs(amplitude) ** 2``, as on a state's amplitude, so it is bit for bit
@@ -188,30 +143,6 @@ def target_probability(inst: GroverInstance, other: float, tau: float) -> float:
     """
     require_unit_norm((inst.n_states - 1) * other * other + tau * tau)
     return abs(tau) ** 2
-
-
-def plane_state(inst: GroverInstance, angle: float) -> QState:
-    """The state cos(angle)|tau_perp> + sin(angle)|tau> of the Grover plane.
-
-    |tau> is the target basis state and |tau_perp> the normalized uniform
-    superposition of all the others, so ``plane_state(inst, 0.0)`` is
-    |tau_perp> itself.
-    """
-    return two_valued_state(
-        inst, math.cos(angle) * (1.0 / math.sqrt(inst.n_states - 1)), math.sin(angle)
-    )
-
-
-def closed_form_state(inst: GroverInstance, t: int) -> QState:
-    """The state cos((2t+1) theta)|tau_perp> + sin((2t+1) theta)|tau>.
-
-    Built directly from the angle formula, phase-exact (not merely equal up
-    to a global phase): this is the analytic counterpart the simulation
-    is checked against.
-    """
-    if t < 0:
-        raise ValueError("iteration count must be non-negative")
-    return plane_state(inst, (2 * t + 1) * grover_angles(inst.n_states).theta)
 
 
 def success_probability(angles: GroverAngles, t: int) -> float:

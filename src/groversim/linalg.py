@@ -1,28 +1,169 @@
-"""Dense complex matrix and vector algebra for the simulator.
+"""The 2^n side: every dense vector and matrix the package builds.
 
-Everything operates on plain numpy arrays of dtype complex128.  Matrices are
-square and stored 0-based row-major; the handful of places that speak the
-1-based basis-label convention (see :mod:`groversim.states`) convert at the
-boundary, so basis label ``i`` always means storage index ``i - 1``.
+Only ``verify`` reaches this module.  Simulation, curves and sampling read
+the kernel's ``(other, tau)`` pair in :mod:`groversim.grover`; the paper's
+claims about dense objects (unitarity of the oracle and diffusion, the
+projector laws, the closed form elementwise) are checked here, on states
+and operators built literally.
 
-Matrices are validated on entry by :func:`as_matrix`, which rejects
-non-finite entries (NaN/Inf); shape mismatches raise
-:class:`DimensionMismatchError`.  :func:`tensor_product_list` validates its
-2x2 factors the same way, all in one pass.  Vectors are validated where they
-become states, by :func:`groversim.states.adopt_qstate`.
+A :class:`QState` wraps a read-only real or complex amplitude vector of
+dimension ``2**n`` with unit squared norm.  :func:`adopt_qstate` is its one
+builder and puts the shared norm gate on it, so non-finite entries are
+rejected too, never silently renormalized.  Basis outcomes are labelled
+1-based (labels 1 .. 2^n); storage index is always ``label - 1``.
+
+Matrices are complex128, square and 0-based row-major, validated on entry by
+:func:`as_matrix`, which rejects non-finite entries (NaN/Inf).
+:func:`tensor_product_list` validates its 2x2 factors the same way, all in
+one pass.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
+
+from .grover import GroverInstance, grover_angles
+from .states import require_unit_norm
 
 DEFAULT_UNITARY_TOL = 1e-10
 
 
-class DimensionMismatchError(ValueError):
-    """Operands have incompatible dimensions."""
+def _n_qubits_for_dim(dim: int) -> int:
+    n = dim.bit_length() - 1
+    if dim < 2 or (1 << n) != dim:
+        raise ValueError(f"state dimension must be a power of two >= 2, got {dim}")
+    return n
+
+
+@dataclass(frozen=True, eq=False)
+class QState:
+    """Pure n-qubit state: 2^n real or complex amplitudes with unit squared norm."""
+
+    n_qubits: int
+    amplitudes: np.ndarray
+
+
+def adopt_qstate(amps: np.ndarray) -> QState:
+    """Validate a fresh float64 or complex128 vector and freeze it as a QState.
+
+    The caller hands ``amps`` over: it becomes the state's read-only
+    amplitudes without a copy.  ``require_unit_norm`` is its gate.
+    """
+    if amps.ndim != 1:
+        raise ValueError(f"expected a 1-d array, got shape {amps.shape}")
+    n = _n_qubits_for_dim(amps.shape[0])
+    require_unit_norm(float(np.vdot(amps, amps).real))
+    amps.setflags(write=False)
+    return QState(n_qubits=n, amplitudes=amps)
+
+
+def basis_state(n_qubits: int, label: int) -> QState:
+    """Computational basis state for a 1-based basis label in 1 .. 2^n."""
+    dim = 1 << n_qubits
+    if not 1 <= label <= dim:
+        raise ValueError(f"basis label must be in 1..{dim}, got {label}")
+    v = np.zeros(dim, dtype=np.complex128)
+    v[label - 1] = 1.0
+    return adopt_qstate(v)
+
+
+def random_qstate(n_qubits: int, rng: np.random.Generator) -> QState:
+    """Random state: i.i.d. normal re/im amplitudes, normalized once."""
+    dim = 1 << n_qubits
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return adopt_qstate(v / np.linalg.norm(v))
+
+
+def uniform_superposition(n_qubits: int) -> QState:
+    """H^(x)n |0...0>: every amplitude 1/sqrt(N), built directly."""
+    if n_qubits < 1:
+        raise ValueError("qubit count must be at least 1")
+    dim = 1 << n_qubits
+    return adopt_qstate(np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+
+
+def two_valued_state(inst: GroverInstance, other: float, tau: float) -> QState:
+    """The state with amplitude ``tau`` at the target and ``other`` everywhere else."""
+    v = np.full(inst.n_states, other)
+    v[inst.target - 1] = tau
+    return adopt_qstate(v)
+
+
+def plane_state(inst: GroverInstance, angle: float) -> QState:
+    """The state cos(angle)|tau_perp> + sin(angle)|tau> of the Grover plane.
+
+    |tau> is the target basis state and |tau_perp> the normalized uniform
+    superposition of all the others, so ``plane_state(inst, 0.0)`` is
+    |tau_perp> itself.
+    """
+    return two_valued_state(
+        inst, math.cos(angle) * (1.0 / math.sqrt(inst.n_states - 1)), math.sin(angle)
+    )
+
+
+def closed_form_state(inst: GroverInstance, t: int) -> QState:
+    """The state cos((2t+1) theta)|tau_perp> + sin((2t+1) theta)|tau>.
+
+    Built directly from the angle formula, phase-exact (not merely equal up
+    to a global phase): this is the analytic counterpart the simulation
+    is checked against.
+    """
+    if t < 0:
+        raise ValueError("iteration count must be non-negative")
+    return plane_state(inst, (2 * t + 1) * grover_angles(inst.n_states).theta)
+
+
+def hadamard() -> np.ndarray:
+    """The 2x2 Hadamard gate (1/sqrt 2) [[1, 1], [1, -1]]."""
+    h = 1.0 / math.sqrt(2.0)
+    return np.array([[h, h], [h, -h]], dtype=np.complex128)
+
+
+def oracle(inst: GroverInstance) -> np.ndarray:
+    """Phase-flip reflection: diagonal +1 everywhere, -1 at the target label."""
+    d = np.ones(inst.n_states, dtype=np.complex128)
+    d[inst.target - 1] = -1.0
+    return np.diag(d)
+
+
+def diffusion(n_qubits: int) -> np.ndarray:
+    """Inversion about the mean: 2|phi0><phi0| - I for the uniform |phi0>.
+
+    Entries: 1/2^(n-1) off the diagonal, 1/2^(n-1) - 1 on it.
+    """
+    if n_qubits < 1:
+        raise ValueError("qubit count must be at least 1")
+    dim = 1 << n_qubits
+    off = 2.0 / dim
+    d = np.full((dim, dim), off, dtype=np.complex128)
+    np.fill_diagonal(d, off - 1.0)
+    return d
+
+
+def projector(q: QState) -> np.ndarray:
+    """Outer product |q><q|: entry (i, j) = q[i] * conj(q[j])."""
+    v = q.amplitudes
+    return np.outer(v, v.conj())
+
+
+def completeness_residual(n_qubits: int) -> float:
+    """Max-norm of (sum over all basis projectors) - identity.
+
+    The sum of the projectors |i><i| is the one product K^T conj(K) of the
+    stacked basis kets K; every entry is 0 or 1, so it is exact in any order,
+    and so is subtracting the identity from its diagonal in place.
+    """
+    dim = 1 << n_qubits
+    kets = np.empty((dim, dim), dtype=np.complex128)
+    for row, label in enumerate(range(1, dim + 1)):
+        kets[row] = basis_state(n_qubits, label).amplitudes
+    total = kets.T @ kets.conj()
+    total.flat[:: dim + 1] -= 1.0
+    return float(np.abs(total).max())
 
 
 def as_matrix(a) -> np.ndarray:
@@ -35,17 +176,6 @@ def as_matrix(a) -> np.ndarray:
     if m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"matrix must be square with dim >= 1, got shape {m.shape}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"cannot multiply {a.shape[0]}-dim by {b.shape[0]}-dim matrix"
-        )
-    return a @ b
 
 
 def unitarity_residual(a) -> float:

@@ -42,6 +42,7 @@ import json
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
@@ -51,34 +52,31 @@ from .grover import (
     T_LIMIT,
     GroverAngles,
     GroverInstance,
-    closed_form_state,
-    diffusion,
     grover_angles,
     kernel_steps,
     max_t_in_period,
     monotonic_decrease_range,
     monotonic_increase_range,
     optimal_iterations,
-    oracle,
-    plane_state,
     success_probability,
-    uniform_superposition,
 )
 from .linalg import (
-    column_orthonormality_residual,
-    is_unitary,
-    matmul,
-    tensor_product_list,
-    unitarity_residual,
-)
-from .states import (
     basis_state,
+    closed_form_state,
+    column_orthonormality_residual,
     completeness_residual,
+    diffusion,
     hadamard,
+    is_unitary,
+    oracle,
+    plane_state,
     projector,
     random_qstate,
-    require_unit_norm,
+    tensor_product_list,
+    uniform_superposition,
+    unitarity_residual,
 )
+from .states import require_unit_norm
 
 # Residual recorded when a check body raises instead of measuring.
 _ERROR_RESIDUAL = 1e300
@@ -192,7 +190,7 @@ def _check_unitary_closure(cfg: VerificationConfig, seed: int) -> tuple[float, d
         for _ in range(10):
             a = pool[int(rng.integers(0, len(pool)))]
             b = pool[int(rng.integers(0, len(pool)))]
-            worst = max(worst, unitarity_residual(matmul(a, b)))
+            worst = max(worst, unitarity_residual(a @ b))
     return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 10}
 
 
@@ -550,9 +548,6 @@ def run_all(cfg: VerificationConfig) -> VerificationReport:
     concurrently; the rows come back in ``CHECK_IDS`` order.  Check failures
     are recorded in the report, never raised.
     """
-    # imported here: it takes milliseconds, and every command imports this module
-    from concurrent.futures import ThreadPoolExecutor
-
     order = _LONGEST + tuple(check_id for check_id in CHECK_IDS if check_id not in _LONGEST)
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         futures = {check_id: pool.submit(run_check, check_id, cfg) for check_id in order}

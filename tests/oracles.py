@@ -3,13 +3,13 @@
 These deliberately use different algorithms from the package code: the
 Kronecker oracles fold ``np.kron`` left to right or evaluate the bit-index
 product formula level by level, where the package folds broadcast products
-from the right, and the matvec oracle is a plain double loop.  The kernel
-reference keeps the first kernel: it steps the whole 2^n vector, where the
-package steps the two values that vector holds.  The Born-rule reference
-reads one amplitude of a whole state, where the package reads the kernel's
-pair; the divisor reference is the first scan, one Python ``%`` per
-candidate.  The Grover power reference forms G^t by left multiplication, one
-matrix product per t, where the verify harness steps the vector.
+from the right.  The kernel reference keeps the first kernel: it steps the
+whole 2^n vector, where the package steps the two values that vector holds.
+The Born-rule reference reads one amplitude of a whole state, where the
+package reads the kernel's pair; the divisor reference is the first scan, one
+Python ``%`` per candidate.  The Grover power reference forms G^t by left
+multiplication, one matrix product per t, where the verify harness steps the
+vector.
 
 ``kernel_state`` is not a reference: it spells the package's one route from
 the kernel's pair to a 2^n state as one call.
@@ -22,7 +22,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from groversim.grover import pair_after_iterations, two_valued_state
+from groversim.grover import pair_after_iterations
+from groversim.linalg import two_valued_state
 
 
 def kron_fold(ms) -> np.ndarray:
@@ -46,20 +47,6 @@ def bit_index_product(ms) -> np.ndarray:
     for level in range(k):
         bits = (np.arange(dim) >> level) & 1
         out *= np.asarray(ms[k - 1 - level], dtype=np.complex128)[np.ix_(bits, bits)]
-    return out
-
-
-def naive_matvec(a, v) -> np.ndarray:
-    """Matrix-vector product as an explicit double loop."""
-    a = np.asarray(a, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    rows, cols = a.shape
-    out = np.zeros(rows, dtype=np.complex128)
-    for i in range(rows):
-        acc = 0.0 + 0.0j
-        for j in range(cols):
-            acc += a[i, j] * v[j]
-        out[i] = acc
     return out
 
 

@@ -319,6 +319,14 @@ class TestFactor:
         doc = json.loads(out)
         assert (doc["factor"], doc["cofactor"]) == (3, 5)
 
+    def test_modal_tie_breaks_toward_the_smaller_label(self, capsys):
+        # candidates 3 (label 4) and 7 (label 8) both divide 21, one shot each
+        code, out, _ = run_cli(capsys, "factor", "--m", "21", "--seed", "4", "--shots", "2", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["histogram"] == {"4": 1, "8": 1}
+        assert (doc["factor"], doc["cofactor"], doc["modal_candidate"]) == (3, 7, 3)
+
     def test_prime_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "factor", "--m", "13")
         assert code == 2

@@ -10,9 +10,8 @@ from groversim.verification import CHECK_IDS
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "groversim"
 
-#: Names kept although no code in the package uses them: the paper's Grover
-#: step, whose unitarity the tests check, and the package version.
-UNUSED_ON_PURPOSE = {"grover_operator", "__version__"}
+#: Names kept although no code in the package uses them: the package version.
+UNUSED_ON_PURPOSE = {"__version__"}
 
 
 def _top_level_names(tree):
@@ -58,10 +57,12 @@ def test_every_top_level_name_is_used_in_src():
 
 
 #: Names the benchmark tracer still wraps or reports although they were
-#: deleted from the package; their per-layer rows read 0 until they go.
+#: deleted from the package or moved to another module; their per-layer rows
+#: read 0 until they go.
 DELETED_FROM_SRC = {
     "grover._simulate_matrix", "linalg.matrix_pow", "states.evolve", "states.n_hadamard",
     "grover.state_after_iterations", "grover._simulate_kernel", "states.make_qstate",
+    "grover.closed_form_state", "linalg.matmul",
 }
 
 
@@ -132,4 +133,4 @@ def test_qstate_is_built_only_inside_adopt_qstate():
             func = call.func
             if getattr(func, "id", None) == "QState" or getattr(func, "attr", None) == "QState":
                 builders.add(scope)
-    assert builders == {"states.adopt_qstate"}
+    assert builders == {"linalg.adopt_qstate"}

@@ -13,24 +13,26 @@ from groversim.factorization import probability_curve
 from groversim.grover import (
     GroverAngles,
     GroverInstance,
-    closed_form_state,
-    diffusion,
     grover_angles,
-    grover_operator,
     kernel_steps,
     max_t_in_period,
     monotonic_decrease_range,
     monotonic_increase_range,
     optimal_iterations,
-    oracle,
-    plane_state,
     success_probability,
     target_probability,
+)
+from groversim.linalg import (
+    basis_state,
+    closed_form_state,
+    diffusion,
+    is_unitary,
+    oracle,
+    plane_state,
     two_valued_state,
     uniform_superposition,
 )
-from groversim.linalg import is_unitary
-from groversim.states import NormalizationError, basis_state
+from groversim.states import NormalizationError
 from oracles import kernel_state, measurement_probability, vector_kernel_steps
 
 # sin^2(7 * arcsin(1/4)): sin(7x) is an odd integer polynomial in sin(x), so
@@ -40,7 +42,7 @@ P3_N16 = 0.9613189697265625
 
 def operator_state(inst, t):
     """G^t |phi0> from the literal Grover operator."""
-    g_t = np.linalg.matrix_power(grover_operator(inst), t)
+    g_t = np.linalg.matrix_power(diffusion(inst.n_qubits) @ oracle(inst), t)
     return g_t @ uniform_superposition(inst.n_qubits).amplitudes
 
 
@@ -160,12 +162,12 @@ class TestGroverOperator:
     def test_unitary_for_all_targets(self):
         for n in (1, 2, 3, 4):
             for target in range(1, (1 << n) + 1):
-                assert is_unitary(grover_operator(GroverInstance(n, target)))
+                assert is_unitary(diffusion(n) @ oracle(GroverInstance(n, target)))
 
     def test_unitary_up_to_eight_qubits(self):
         for n in (5, 6, 7, 8):
             for target in (1, 1 << (n - 1), 1 << n):
-                assert is_unitary(grover_operator(GroverInstance(n, target)))
+                assert is_unitary(diffusion(n) @ oracle(GroverInstance(n, target)))
 
     def test_zeroth_power_is_identity(self):
         inst = GroverInstance(3, 2)

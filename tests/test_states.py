@@ -15,20 +15,20 @@ from groversim.grover import (
     max_t_in_period,
     optimal_iterations,
     pair_after_iterations,
-    uniform_superposition,
 )
-from groversim.linalg import DimensionMismatchError, is_unitary, matmul, tensor_product_list
-from groversim.states import (
-    NormalizationError,
+from groversim.linalg import (
     QState,
     adopt_qstate,
     basis_state,
     completeness_residual,
     hadamard,
+    is_unitary,
     projector,
     random_qstate,
-    sample_measurement,
+    tensor_product_list,
+    uniform_superposition,
 )
+from groversim.states import NormalizationError, sample_measurement
 
 from oracles import kron_fold, measurement_probability, random_structured_unitary
 
@@ -188,10 +188,6 @@ class TestEvolve:
         # the norm gate refuses what a non-unitary operator makes
         with pytest.raises(NormalizationError):
             adopt_qstate(2.0 * np.eye(2) @ basis_state(1, 1).amplitudes)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            matmul(np.eye(4, dtype=complex), hadamard())
 
 
 class TestProjector:

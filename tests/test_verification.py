@@ -13,8 +13,8 @@ import pytest
 
 import groversim
 from groversim import verification
-from groversim.grover import GroverInstance, diffusion, kernel_steps, oracle, uniform_superposition
-from groversim.states import random_qstate
+from groversim.grover import GroverInstance, kernel_steps
+from groversim.linalg import diffusion, oracle, random_qstate, uniform_superposition
 from groversim.verification import (
     CHECK_IDS,
     VerificationConfig,
@@ -180,15 +180,25 @@ def test_a_check_that_raises_becomes_its_error_row_inside_the_pool(monkeypatch):
     assert others == [row for row in expected if row["id"] != "T2.2"]
 
 
-def test_importing_the_cli_does_not_import_the_thread_pool():
-    # run_all imports concurrent.futures itself, so other commands skip its cost
+def _loaded_by_import(modules: str, names: list[str]) -> str:
+    """Those of ``names`` that ``import <modules>`` loads in a fresh interpreter, as printed."""
     src = str(Path(groversim.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, groversim.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run(
+    code = f"import sys, {modules}; print([name for name in {names!r} if name in sys.modules])"
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
+    ).stdout.strip()
+
+
+def test_importing_the_cli_does_not_import_the_thread_pool():
+    # cli.verify imports the verify stack itself, so other commands skip its cost
+    names = ["concurrent.futures", "groversim.verification", "groversim.linalg"]
+    assert _loaded_by_import("groversim.cli", names) == "[]"
+
+
+def test_simulation_and_factoring_do_not_import_the_dense_stack():
+    # the kernel reads its pair; only verify builds 2^n vectors and matrices
+    assert _loaded_by_import("groversim.grover, groversim.factorization", ["groversim.linalg"]) == "[]"
 
 
 def test_config_bounds():
