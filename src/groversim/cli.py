@@ -109,7 +109,7 @@ def simulate(n_qubits, target, iterations, seed, shots, output, as_json) -> None
     histogram = None
     extra = None
     if shots is not None:
-        histogram = sample_measurement((inst.n_states, inst.target - 1, other, tau), seed, shots)
+        histogram = sample_measurement((inst, other, tau), seed, shots)
         extra = {"seed": seed, "shots": shots, "histogram": histogram}
 
     _report(

@@ -125,7 +125,7 @@ def run_factor_search(m: int, seed: int, shots: int) -> FactorResult:
     inst = build_factor_instance(m)
     opt = optimal_iterations(grover_angles(inst.n_states))
     other, tau = pair_after_iterations(inst, opt.t_best)
-    histogram = sample_measurement((inst.n_states, inst.target - 1, other, tau), seed, shots)
+    histogram = sample_measurement((inst, other, tau), seed, shots)
     modal_label = max(histogram, key=histogram.get)  # first, so smallest, on ties
     candidate = modal_label - 1
     if 2 <= candidate < m and m % candidate == 0:

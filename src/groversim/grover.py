@@ -1,12 +1,12 @@
-"""Grover search instances, the two-value kernel and iteration analytics.
+"""Grover search instances, the two-value kernel, the norm gate and iteration analytics.
 
 Simulation builds no 2^n vector: ``kernel_steps`` is the one stepping loop.
 A step treats every non-target amplitude alike, so the state holds two
 values; the kernel steps that pair, O(n) per step and bit for bit the 2^n
 vector's.  ``target_probability`` reads the pair, and so does the sampler
-(``states.sample_measurement``).  The dense operators and states the paper's
-claims are about (oracle, diffusion, the plane and closed-form states) are
-built in :mod:`groversim.linalg`, for ``verify``.
+(``states.sample_measurement``), both behind the norm gate ``pair_norm2``.
+The dense operators and states the paper's claims are about are built in
+:mod:`groversim.linalg`, for ``verify``.
 
 All angles derive from theta = arcsin(1/sqrt(N)) for a search space of size
 N = 2^n; the success probability after t iterations is sin^2((2t+1) theta),
@@ -21,8 +21,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-
-from .states import require_unit_norm
 
 #: Qubit ceiling the CLI enforces: the largest n at which the tests pin the
 #: kernel's drift from the closed form.  Only ``verify``, on its n <= 12 grid,
@@ -73,6 +71,36 @@ class GroverAngles:
             raise ValueError(f"theta out of (0, pi/2]: {self.theta}")
         if abs(math.sin(self.theta) - 1.0 / math.sqrt(self.n_states)) > 1e-12:
             raise ValueError("theta does not satisfy sin(theta) = 1/sqrt(N)")
+
+
+#: Tolerance on |norm^2 - 1| accepted by the norm gate.
+NORM_TOL = 1e-10
+
+
+class NormalizationError(ValueError):
+    """Vector does not have unit squared norm."""
+
+
+def require_unit_norm(norm2: float) -> None:
+    """Raise NormalizationError unless the squared norm is within NORM_TOL of 1.
+
+    The one norm gate: every pair the package reads (``pair_norm2``) and every
+    state ``linalg.adopt_qstate`` builds passes it.  It is also the finiteness
+    check: a NaN or infinite amplitude makes the squared norm NaN or infinite;
+    ``not <= NORM_TOL`` rejects both, ``>`` lets NaN pass.
+    """
+    if not abs(norm2 - 1.0) <= NORM_TOL:
+        raise NormalizationError(
+            f"squared norm {norm2!r} differs from 1 by more than {NORM_TOL}"
+        )
+
+
+def pair_norm2(inst: GroverInstance, other: float, tau: float) -> float:
+    """Squared norm (N - 1) other^2 + tau^2 of the state with ``tau`` at the
+    target and ``other`` elsewhere, after it passes ``require_unit_norm``."""
+    norm2 = (inst.n_states - 1) * other * other + tau * tau
+    require_unit_norm(norm2)
+    return norm2
 
 
 def grover_angles(n_states: int) -> GroverAngles:
@@ -135,13 +163,11 @@ def pair_after_iterations(inst: GroverInstance, t: int) -> tuple[float, float]:
 def target_probability(inst: GroverInstance, other: float, tau: float) -> float:
     """Born probability |tau|^2 of the target in the two-valued state (other, tau).
 
-    The pair passes the gate ``linalg.adopt_qstate`` puts on the 2^n vector it
-    stands for, computed from the two values: the squared norm is
-    (N - 1) other^2 + tau^2.  The probability is computed as
-    ``abs(amplitude) ** 2``, as on a state's amplitude, so it is bit for bit
-    the vector's.
+    The pair passes the norm gate first (``pair_norm2``).  The probability is
+    computed as ``abs(amplitude) ** 2``, as on a state's amplitude, so it is
+    bit for bit the vector's.
     """
-    require_unit_norm((inst.n_states - 1) * other * other + tau * tau)
+    pair_norm2(inst, other, tau)
     return abs(tau) ** 2
 
 

@@ -26,10 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grover import GroverInstance, grover_angles
-from .states import require_unit_norm
-
-DEFAULT_UNITARY_TOL = 1e-10
+from .grover import GroverInstance, grover_angles, require_unit_norm
 
 
 def _n_qubits_for_dim(dim: int) -> int:
@@ -184,11 +181,6 @@ def unitarity_residual(a) -> float:
     eye = np.eye(u.shape[0], dtype=np.complex128)
     ud = u.conj().T
     return float(max(np.abs(ud @ u - eye).max(), np.abs(u @ ud - eye).max()))
-
-
-def is_unitary(a) -> bool:
-    """True iff both U†U and UU† are the identity within ``DEFAULT_UNITARY_TOL`` (max-norm)."""
-    return unitarity_residual(a) < DEFAULT_UNITARY_TOL
 
 
 def column_orthonormality_residual(a) -> float:

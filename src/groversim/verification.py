@@ -9,9 +9,9 @@ margin a pass had.
 A check computes only what its property states.  T1.11 evolves a state
 through the tensor layers it draws, one 2x2 factor at a time, and never forms
 their product; T1.3 and T1.4, whose properties are about the matrix, form it.
-T2.3 steps |phi0> by the dense Grover matrix G = D U_f, one matrix-vector
-product per t, and compares the kernel's (other, tau) pair with the closed
-form's two values after passing the pair through the state's norm gate.
+T1.3 checks every matrix it draws.  T2.3 steps |phi0> by the dense Grover
+matrix G = D U_f, one matrix-vector product per t, and compares the kernel's
+(other, tau) pair, behind its norm gate, with the closed form's two values.
 
 Residual conventions:
 
@@ -19,7 +19,9 @@ Residual conventions:
   check's tolerance;
 * order checks (strict inequalities) report the negated worst margin with
   tolerance 0.0, so the shared rule ``passed == worst_residual < tolerance``
-  holds for both kinds.
+  holds for both kinds;
+* residuals are folded by ``_worse``, which keeps a NaN; a NaN worst
+  residual becomes an error row, like a check body that raises.
 
 ``inject_fault`` swaps the diffusion operator for a non-unitary stand-in in
 the two checks that consume it (T1.4 closure and the T2.3 closed-form
@@ -44,7 +46,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -58,6 +60,7 @@ from .grover import (
     monotonic_decrease_range,
     monotonic_increase_range,
     optimal_iterations,
+    pair_norm2,
     success_probability,
 )
 from .linalg import (
@@ -67,7 +70,6 @@ from .linalg import (
     completeness_residual,
     diffusion,
     hadamard,
-    is_unitary,
     oracle,
     plane_state,
     projector,
@@ -76,7 +78,6 @@ from .linalg import (
     uniform_superposition,
     unitarity_residual,
 )
-from .states import require_unit_norm
 
 # Residual recorded when a check body raises instead of measuring.
 _ERROR_RESIDUAL = 1e300
@@ -103,7 +104,6 @@ class VerificationConfig:
     t_max: int = 10
     seed: int = 20260810
     inject_fault: bool = False
-    tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_max <= 12:
@@ -112,6 +112,11 @@ class VerificationConfig:
             raise ValueError(f"t_max must be in 1..{T_LIMIT}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+
+def _worse(worst: float, residual: float) -> float:
+    """``max(worst, residual)``, keeping a NaN on either side where ``max`` may drop it."""
+    return residual if residual > worst or residual != residual else worst
 
 
 def _faulty_diffusion(n_qubits: int) -> np.ndarray:
@@ -172,9 +177,7 @@ def _check_columns_orthonormal(cfg: VerificationConfig, seed: int) -> tuple[floa
     for n in range(1, n_hi + 1):
         for _ in range(10):
             u = _random_structured_unitary(n, rng)
-            if not is_unitary(u):
-                continue  # the property is an implication from unitarity
-            worst = max(worst, column_orthonormality_residual(u))
+            worst = _worse(worst, column_orthonormality_residual(u))
     return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 10}
 
 
@@ -190,7 +193,7 @@ def _check_unitary_closure(cfg: VerificationConfig, seed: int) -> tuple[float, d
         for _ in range(10):
             a = pool[int(rng.integers(0, len(pool)))]
             b = pool[int(rng.integers(0, len(pool)))]
-            worst = max(worst, unitarity_residual(a @ b))
+            worst = _worse(worst, unitarity_residual(a @ b))
     return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 10}
 
 
@@ -207,7 +210,7 @@ def _check_norm_conservation(cfg: VerificationConfig, seed: int) -> tuple[float,
             layers = _random_layers(n, rng)
             q = random_qstate(n, rng)
             evolved = _apply_layers(layers, q.amplitudes)
-            worst = max(worst, abs(float(np.real(np.vdot(evolved, evolved))) - 1.0))
+            worst = _worse(worst, abs(float(np.real(np.vdot(evolved, evolved))) - 1.0))
     return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 25}
 
 
@@ -229,7 +232,7 @@ def _projector_law(residual: Callable[[np.ndarray], np.ndarray]) -> Callable:
         worst = 0.0
         for n in range(1, n_hi + 1):
             for q in _iter_check_states(n, 25, rng):
-                worst = max(worst, float(np.abs(residual(projector(q))).max()))
+                worst = _worse(worst, float(np.abs(residual(projector(q))).max()))
         return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 25}
 
     return check
@@ -254,7 +257,7 @@ def _check_projector_completeness(cfg: VerificationConfig, seed: int) -> tuple[f
     n_hi = min(cfg.n_max, 8)
     worst = 0.0
     for n in range(1, n_hi + 1):
-        worst = max(worst, completeness_residual(n))
+        worst = _worse(worst, completeness_residual(n))
     return worst, {"n_values": list(range(1, n_hi + 1))}
 
 
@@ -270,7 +273,7 @@ def _check_phase_flip(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
             alpha = float(rng.uniform(0.0, 2.0 * math.pi))
             before = plane_state(inst, alpha).amplitudes
             expected = plane_state(inst, -alpha).amplitudes
-            worst = max(worst, float(np.abs(u_f @ before - expected).max()))
+            worst = _worse(worst, float(np.abs(u_f @ before - expected).max()))
     return worst, {"n_values": list(range(1, n_hi + 1)), "samples": 100}
 
 
@@ -287,7 +290,6 @@ def _check_closed_form(cfg: VerificationConfig, seed: int) -> tuple[float, dict]
     diffusion_op = _faulty_diffusion if cfg.inject_fault else diffusion
     worst = 0.0
     for n in range(n_lo, n_hi + 1):
-        n_states = 1 << n
         start = uniform_superposition(n).amplitudes
         d = diffusion_op(n)
         # the closed form's two values at t, (tau, other), read off the state
@@ -296,7 +298,7 @@ def _check_closed_form(cfg: VerificationConfig, seed: int) -> tuple[float, dict]
             closed_form_state(GroverInstance(n, 1), t).amplitudes[:2].tolist()
             for t in range(cfg.t_max + 1)
         ]
-        for target in range(1, n_states + 1):
+        for target in range(1, (1 << n) + 1):
             inst = GroverInstance(n, target)
             steps = zip(
                 closed,
@@ -308,12 +310,11 @@ def _check_closed_form(cfg: VerificationConfig, seed: int) -> tuple[float, dict]
                 # its complex abs and Python's abs() differ in the last bit
                 diff = sim - c_other
                 diff[target - 1] = sim[target - 1] - c_tau
-                worst = max(worst, float(np.abs(diff).max()))
-                # the kernel's pair, behind the norm gate of the state it stands
-                # for, against the closed form's values at the target and at
-                # the other indices
-                require_unit_norm((n_states - 1) * other * other + tau * tau)
-                worst = max(worst, float(abs(other - c_other)), float(abs(tau - c_tau)))
+                worst = _worse(worst, float(np.abs(diff).max()))
+                # the kernel's pair, behind its norm gate, against the closed form
+                pair_norm2(inst, other, tau)
+                worst = _worse(worst, abs(other - c_other))
+                worst = _worse(worst, abs(tau - c_tau))
     return worst, {
         "n_values": list(range(n_lo, n_hi + 1)),
         "targets": "all",
@@ -332,15 +333,16 @@ def _monotonic(steps: Callable[[GroverAngles], range], sign: float) -> Callable:
     """Check body: the worst margin ``sign * (p(t+1) - p(t))`` over ``steps``, negated."""
 
     def check(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
-        margins = []
+        # a margin is a difference of probabilities, at most 1: the start
+        # -1.0 is only the worst residual of an empty grid
+        worst, instances = -1.0, 0
         for n in range(2, cfg.n_max + 1):
             ang = grover_angles(1 << n)
             for t in steps(ang):
-                margins.append(
-                    sign * (success_probability(ang, t + 1) - success_probability(ang, t))
-                )
-        worst = -min(margins, default=1.0)
-        return worst, {"n_values": list(range(2, cfg.n_max + 1)), "instances": len(margins)}
+                margin = sign * (success_probability(ang, t + 1) - success_probability(ang, t))
+                worst = _worse(worst, -margin)
+                instances += 1
+        return worst, {"n_values": list(range(2, cfg.n_max + 1)), "instances": instances}
 
     return check
 
@@ -349,11 +351,9 @@ def _check_optimality(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
     worst = -1.0
     for n in range(1, cfg.n_max + 1):
         ang = grover_angles(1 << n)
-        opt = optimal_iterations(ang)
-        p_max = max(
-            success_probability(ang, t) for t in range(max_t_in_period(ang) + 1)
-        )
-        worst = max(worst, p_max - opt.p_best)
+        p_best = optimal_iterations(ang).p_best
+        for t in range(max_t_in_period(ang) + 1):
+            worst = _worse(worst, success_probability(ang, t) - p_best)
     return worst, {"n_values": list(range(1, cfg.n_max + 1))}
 
 
@@ -364,7 +364,7 @@ def _check_optimality(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One registered property check: stable id, statement and default tolerance."""
+    """One registered property check: stable id, statement and tolerance."""
 
     check_id: str
     title: str
@@ -484,25 +484,26 @@ def run_check(check_id: str, cfg: VerificationConfig) -> CheckResult:
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
     spec = REGISTRY[check_id]
-    tolerance = float(cfg.tolerances.get(check_id, spec.tolerance))
     # derived per check so parallel checks never share a stream
     seed = cfg.seed + 1000 * CHECK_IDS.index(check_id)
 
     start = time.perf_counter()
     try:
         worst, echo = spec.runner(cfg, seed)
+        if math.isnan(worst):
+            raise FloatingPointError("the worst residual is NaN")
     except Exception as exc:  # individual failures are recorded, not thrown
         worst, echo = _ERROR_RESIDUAL, {"error": f"{type(exc).__name__}: {exc}"}
     elapsed_ms = (time.perf_counter() - start) * 1e3
 
     echo["seed"] = seed
-    echo["tolerance"] = tolerance
+    echo["tolerance"] = spec.tolerance
     return CheckResult(
         id=check_id,
         theorem=spec.title,
         quote=spec.statement,
         params=echo,
-        passed=worst < tolerance,
+        passed=worst < spec.tolerance,
         worst_residual=worst,
         elapsed_ms=elapsed_ms,
     )

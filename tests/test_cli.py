@@ -9,8 +9,7 @@ import tracemalloc
 import pytest
 
 from groversim.cli import main
-from groversim.grover import grover_angles, optimal_iterations
-from groversim.states import NormalizationError
+from groversim.grover import NormalizationError, grover_angles, optimal_iterations
 
 P3_N16 = 0.9613189697265625
 
@@ -456,19 +455,19 @@ _MASKED_VALUES = re.compile(r'("(?:elapsed_ms|worst_residual)": )[^,\n]+')
     [
         (
             VERIFY_N3, 0, "13/13 checks passed\n",
-            "ded93f130f16165240c7279440c90bb60448b82f3bada20281be871bdd573084",
+            "0409dc88346a3abc6a50a27867d1bd8989d0e3d616541c62b970167f94165cdf",
         ),
         (
             VERIFY_N3 + ["--inject-fault"], 2, "11/13 checks passed\nfailed: T1.4, T2.3\n",
-            "1de68fe332cbbcfcbcb3a5cef50aada097547e9c4d1047f9e00b5c83cb81517e",
+            "55e3ea76941b4f53f8f1c922ba6672ff9d37247400251e5bb52b399d6f83009c",
         ),
         (
             ["verify"], 0, "13/13 checks passed\n",
-            "9e814c21cdffce5c095ad5fe694e52202f35073d53ebb49cad77971d94aaf557",
+            "e3f22696671da323713125ac166cdda99d7d2486dc5ee8b400a6b3ea8b4d3499",
         ),
         (
             ["verify", "--inject-fault"], 2, "11/13 checks passed\nfailed: T1.4, T2.3\n",
-            "d64bb666a9744acfc47c49393cff793e6375b51f1b6e039dd3fc74de745c6d43",
+            "5b15b1d32c7d5385af2ff95fbcb898887440c66a051468071f3001fecf818ca7",
         ),
     ],
     ids=["verify", "verify-inject-fault", "verify-default", "verify-default-inject-fault"],

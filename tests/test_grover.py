@@ -13,6 +13,7 @@ from groversim.factorization import probability_curve
 from groversim.grover import (
     GroverAngles,
     GroverInstance,
+    NormalizationError,
     grover_angles,
     kernel_steps,
     max_t_in_period,
@@ -26,13 +27,12 @@ from groversim.linalg import (
     basis_state,
     closed_form_state,
     diffusion,
-    is_unitary,
     oracle,
     plane_state,
     two_valued_state,
     uniform_superposition,
+    unitarity_residual,
 )
-from groversim.states import NormalizationError
 from oracles import kernel_state, measurement_probability, vector_kernel_steps
 
 # sin^2(7 * arcsin(1/4)): sin(7x) is an odd integer polynomial in sin(x), so
@@ -94,7 +94,7 @@ class TestOracle:
 
     def test_unitary(self):
         for n in (1, 2, 4):
-            assert is_unitary(oracle(GroverInstance(n, 1)))
+            assert unitarity_residual(oracle(GroverInstance(n, 1))) < 1e-10
 
     def test_phase_flip_on_plane_states(self):
         rng = np.random.default_rng(21)
@@ -149,7 +149,7 @@ class TestDiffusion:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_unitary(self, n):
-        assert is_unitary(diffusion(n))
+        assert unitarity_residual(diffusion(n)) < 1e-10
 
     def test_equals_reflection_about_uniform_state(self):
         for n in (1, 2, 3, 5):
@@ -162,12 +162,12 @@ class TestGroverOperator:
     def test_unitary_for_all_targets(self):
         for n in (1, 2, 3, 4):
             for target in range(1, (1 << n) + 1):
-                assert is_unitary(diffusion(n) @ oracle(GroverInstance(n, target)))
+                assert unitarity_residual(diffusion(n) @ oracle(GroverInstance(n, target))) < 1e-10
 
     def test_unitary_up_to_eight_qubits(self):
         for n in (5, 6, 7, 8):
             for target in (1, 1 << (n - 1), 1 << n):
-                assert is_unitary(diffusion(n) @ oracle(GroverInstance(n, target)))
+                assert unitarity_residual(diffusion(n) @ oracle(GroverInstance(n, target))) < 1e-10
 
     def test_zeroth_power_is_identity(self):
         inst = GroverInstance(3, 2)

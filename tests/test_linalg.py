@@ -5,20 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groversim.grover import GroverInstance
+from groversim.grover import GroverInstance, NormalizationError
 from groversim.linalg import (
     adopt_qstate,
     basis_state,
     column_orthonormality_residual,
     diffusion,
     hadamard,
-    is_unitary,
     oracle,
     tensor_product_list,
     uniform_superposition,
     unitarity_residual,
 )
-from groversim.states import NormalizationError
 
 from oracles import (
     bit_index_product, kernel_state, kron_fold, random_2x2,
@@ -77,13 +75,13 @@ class TestMatmul:
 
 class TestUnitarity:
     def test_hadamard(self):
-        assert is_unitary(hadamard())
+        assert unitarity_residual(hadamard()) < 1e-10
 
     def test_identity(self):
-        assert is_unitary(np.eye(7))
+        assert unitarity_residual(np.eye(7)) < 1e-10
 
     def test_scaled_identity_is_not(self):
-        assert not is_unitary(2.0 * np.eye(2))
+        assert unitarity_residual(2.0 * np.eye(2)) == 3.0
 
     def test_closure_under_product(self):
         rng = np.random.default_rng(7)
@@ -91,7 +89,7 @@ class TestUnitarity:
             for _ in range(10):
                 a = random_structured_unitary(n_qubits, rng)
                 b = random_structured_unitary(n_qubits, rng)
-                assert is_unitary(a @ b)
+                assert unitarity_residual(a @ b) < 1e-10
 
 
 class TestColumnOrthonormality:
@@ -112,7 +110,7 @@ class TestColumnOrthonormality:
         for n_qubits in (1, 2, 3, 4):
             for _ in range(10):
                 u = random_structured_unitary(n_qubits, rng)
-                assert is_unitary(u)
+                assert unitarity_residual(u) < 1e-10
                 assert column_orthonormality_residual(u) < 10.0 * tol
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from groversim.grover import (
     GroverInstance,
+    NormalizationError,
     grover_angles,
     max_t_in_period,
     optimal_iterations,
@@ -22,13 +23,13 @@ from groversim.linalg import (
     basis_state,
     completeness_residual,
     hadamard,
-    is_unitary,
     projector,
     random_qstate,
     tensor_product_list,
     uniform_superposition,
+    unitarity_residual,
 )
-from groversim.states import NormalizationError, sample_measurement
+from groversim.states import sample_measurement
 
 from oracles import kron_fold, measurement_probability, random_structured_unitary
 
@@ -140,7 +141,7 @@ class TestHadamard:
         assert h[1, 1] == -INV_SQRT2
 
     def test_unitary(self):
-        assert is_unitary(hadamard())
+        assert unitarity_residual(hadamard()) < 1e-10
 
     def test_n_hadamard_single_is_hadamard(self):
         assert np.array_equal(tensor_product_list([hadamard()]), hadamard())
@@ -280,31 +281,36 @@ class TestSampling:
         # N=4 after one step: all the amplitude sits on the target
         pair = pair_after_iterations(GroverInstance(2, 1), 1)
         assert pair == (0.0, 1.0)
-        hist = sample_measurement((4, 0, *pair), rng_seed=123, shots=500)
+        hist = sample_measurement((GroverInstance(2, 1), *pair), rng_seed=123, shots=500)
         assert hist == {1: 500}
 
     def test_uniform_state_concentrates(self):
         pair = pair_after_iterations(GroverInstance(2, 3), 0)
         assert pair == (0.5, 0.5)
         shots = 100_000
-        hist = sample_measurement((4, 2, *pair), rng_seed=77, shots=shots)
+        hist = sample_measurement((GroverInstance(2, 3), *pair), rng_seed=77, shots=shots)
         assert sorted(hist) == [1, 2, 3, 4]
         for count in hist.values():
             assert abs(count / shots - 0.25) < 0.01
 
     def test_same_seed_same_histogram(self):
-        state = (16, 4, *pair_after_iterations(GroverInstance(4, 5), 2))
+        inst = GroverInstance(4, 5)
+        state = (inst, *pair_after_iterations(inst, 2))
         a = sample_measurement(state, rng_seed=42, shots=1000)
         b = sample_measurement(state, rng_seed=42, shots=1000)
         assert a == b
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
-            sample_measurement((2, 0, INV_SQRT2, INV_SQRT2), rng_seed=1, shots=0)
+            sample_measurement((GroverInstance(1, 1), INV_SQRT2, INV_SQRT2), rng_seed=1, shots=0)
 
     @pytest.mark.parametrize(
         "state",
-        [(4, 0, 0.5, 0.5 + 1e-9), (4, 3, 0.5 - 1e-9, 0.5), (2, 0, float("nan"), 1.0)],
+        [
+            (GroverInstance(2, 1), 0.5, 0.5 + 1e-9),
+            (GroverInstance(2, 4), 0.5 - 1e-9, 0.5),
+            (GroverInstance(1, 1), float("nan"), 1.0),
+        ],
         ids=["tau-high", "other-low", "nan"],
     )
     def test_a_pair_off_the_unit_norm_is_refused(self, state):
@@ -314,7 +320,11 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "state, label",
-        [((4, 0, 0.0, math.nextafter(1.0, 2.0)), 1), ((2, 1, 0.0, 1.0), 2), ((2, 0, 1.0, 0.0), 2)],
+        [
+            ((GroverInstance(2, 1), 0.0, math.nextafter(1.0, 2.0)), 1),
+            ((GroverInstance(1, 2), 0.0, 1.0), 2),
+            ((GroverInstance(1, 1), 1.0, 0.0), 2),
+        ],
         ids=["tau-above-1", "target-certain", "target-impossible"],
     )
     def test_a_certain_outcome_takes_every_shot(self, state, label):
@@ -354,7 +364,7 @@ def assert_fits_the_born_probabilities(n, target, t, shots=BORN_SHOTS):
     other, tau = pair_after_iterations(GroverInstance(n, target), t)
     p = tau * tau / ((n_states - 1) * other * other + tau * tau)
     rng_seed = 10**12 * n + 10**8 * t + target  # a stream of its own per case
-    hist = sample_measurement((n_states, target - 1, other, tau), rng_seed, shots)
+    hist = sample_measurement((GroverInstance(n, target), other, tau), rng_seed, shots)
     assert list(hist) == sorted(hist) and 1 <= min(hist) and max(hist) <= n_states
     assert sum(hist.values()) == shots
     hits = hist.pop(target, 0)
@@ -386,12 +396,15 @@ class TestSamplingFromThePair:
         for target in (1, 2, 4):
             other, tau = pair_after_iterations(GroverInstance(2, target), 1)
             assert (other, tau) == (0.0, 1.0)
-            assert sample_measurement((4, target - 1, other, tau), 6, 1000) == {target: 1000}
+            assert sample_measurement((GroverInstance(2, target), other, tau), 6, 1000) == {
+                target: 1000
+            }
 
     @pytest.mark.parametrize("rng_seed", range(5))
     def test_one_shot(self, rng_seed):
-        other, tau = pair_after_iterations(GroverInstance(6, 17), 0)
-        [(label, count)] = sample_measurement((64, 16, other, tau), rng_seed, 1).items()
+        inst = GroverInstance(6, 17)
+        other, tau = pair_after_iterations(inst, 0)
+        [(label, count)] = sample_measurement((inst, other, tau), rng_seed, 1).items()
         assert count == 1 and 1 <= label <= 64
 
     @pytest.mark.parametrize("n, target, t", [(20, 349526, 0), (20, 349526, 804)])

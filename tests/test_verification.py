@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -79,11 +80,48 @@ def test_unknown_check_id_rejected():
         run_check("T9.9", VerificationConfig())
 
 
-def test_tolerance_override_can_fail_a_passing_check():
-    # guards against vacuous checks: an absurd tolerance must flip the verdict
-    result = run_check("T1.9", VerificationConfig(tolerances={"T1.9": 1e-20}))
-    assert not result.passed
-    assert result.params["tolerance"] == 1e-20
+def _scaled(fn):
+    return lambda *args: 1.01 * fn(*args)
+
+
+def _nan_like(fn):
+    return lambda *args: np.full_like(fn(*args), np.nan)
+
+
+def _nan_at_t3(fn):
+    # one NaN inside the grid, where a min or max over it would drop it
+    return lambda angles, t: math.nan if t == 3 else fn(angles, t)
+
+
+@pytest.mark.parametrize(
+    "name, fault, failing",
+    [
+        ("hadamard", _scaled, ["T1.3", "T1.4", "T1.9", "T1.11"]),
+        ("_random_structured_unitary", _scaled, ["T1.3", "T1.4"]),
+        ("_apply_layers", _nan_like, ["T1.11"]),
+        ("diffusion", _nan_like, ["T1.4", "T2.3"]),
+        ("success_probability", _nan_at_t3, ["T3.2", "T3.3", "T3.4"]),
+    ],
+    ids=[
+        "hadamard-scaled",
+        "structured-unitary-scaled",
+        "apply-layers-nan",
+        "diffusion-nan",
+        "success-probability-nan-at-t3",
+    ],
+)
+def test_a_fault_fails_exactly_its_checks(monkeypatch, name, fault, failing):
+    # a check is evidence only if some fault fails it; a NaN residual is a failure
+    monkeypatch.setattr(verification, name, fault(getattr(verification, name)))
+    # n up to 5, so T3.2's range is not empty
+    report = run_all(VerificationConfig(n_max=5, t_max=6, seed=7))
+    assert report.failed_ids() == failing
+    json.loads(report.to_json())  # no NaN reaches the report
+    for row in report.results:
+        assert row.passed == (row.worst_residual < row.params["tolerance"])
+        if fault is not _scaled and not row.passed:
+            assert row.worst_residual == verification._ERROR_RESIDUAL
+            assert "error" in row.params
 
 
 def test_run_all_passes_on_small_grid():
@@ -110,7 +148,7 @@ def test_report_json_schema():
     report = run_all(SMALL)
     doc = json.loads(report.to_json())
     assert doc["schema_version"] == "1"
-    assert set(doc["config"]) == {"n_max", "t_max", "seed", "inject_fault", "tolerances"}
+    assert set(doc["config"]) == {"n_max", "t_max", "seed", "inject_fault"}
     assert doc["summary"] == {"passed": 13, "failed": 0}
     assert [row["id"] for row in doc["results"]] == list(EXPECTED_IDS)
     for row in doc["results"]:
@@ -199,6 +237,14 @@ def test_importing_the_cli_does_not_import_the_thread_pool():
 def test_simulation_and_factoring_do_not_import_the_dense_stack():
     # the kernel reads its pair; only verify builds 2^n vectors and matrices
     assert _loaded_by_import("groversim.grover, groversim.factorization", ["groversim.linalg"]) == "[]"
+    # the norm gate lives in grover, which imports no other groversim module
+    others = [
+        f"groversim.{module.name}"
+        for module in pkgutil.iter_modules(groversim.__path__)
+        if module.name != "grover"
+    ]
+    assert "groversim.states" in others
+    assert _loaded_by_import("groversim.grover", others) == "[]"
 
 
 def test_config_bounds():
