@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .grover import (
     KERNEL_QUBIT_CAP,
     GroverInstance,
@@ -51,6 +49,9 @@ class MultipleSolutionsError(ValueError):
 
 def _divisors_in_range(m: int) -> list[int]:
     """Every divisor of ``m`` in [2, floor(sqrt(m))], ascending; int64 is exact below 2**63."""
+    # imported here: curve, which shares this module, starts without numpy
+    import numpy as np
+
     stop = math.isqrt(m) + 1
     divisors = []
     for lo in range(2, stop, _DIVISOR_CHUNK):

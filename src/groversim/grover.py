@@ -6,7 +6,9 @@ values; the kernel steps that pair, O(n) per step and bit for bit the 2^n
 vector's.  ``target_probability`` reads the pair, and so does the sampler
 (``states.sample_measurement``), both behind the norm gate ``pair_norm2``.
 The dense operators and states the paper's claims are about are built in
-:mod:`groversim.linalg`, for ``verify``.
+:mod:`groversim.linalg`, for ``verify``.  This module imports no numpy (its
+``_mean`` adds in numpy's order itself), so the commands that hold no vector
+start without it.
 
 All angles derive from theta = arcsin(1/sqrt(N)) for a search space of size
 N = 2^n; the success probability after t iterations is sin^2((2t+1) theta),
@@ -19,8 +21,8 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 #: Qubit ceiling the CLI enforces: the largest n at which the tests pin the
 #: kernel's drift from the closed form.  Only ``verify``, on its n <= 12 grid,
@@ -110,27 +112,45 @@ def grover_angles(n_states: int) -> GroverAngles:
     return GroverAngles(theta=math.asin(1.0 / math.sqrt(n_states)), n_states=n_states)
 
 
-def _mean(n_states: int, leaves: np.ndarray, slot: int, other: float, tau: float) -> float:
+def _mean(n_states: int, slot: int, other: float, tau: float) -> float:
     """numpy's ``mean`` of the N-vector holding ``tau`` at the target and ``other``
-    elsewhere, bit for bit, in O(n).
+    elsewhere, bit for bit, in O(n) and without numpy.
 
     numpy sums a contiguous float64 array pairwise: leaves of 128 elements
-    (its PW_BLOCKSIZE) joined up a binary tree of halves.  numpy itself sums
-    the all-``other`` leaf and the leaf holding ``tau`` at ``slot``, as the
-    two rows of the ``(2, leaf)`` buffer ``leaves`` in one reduce; each level
+    (its PW_BLOCKSIZE), each level above joining two halves left + right.
+    A leaf of L < 8 elements is added in order from 0.0.  A larger leaf is
+    added in 8 lanes: lane j holds elements j, j+8, j+16, ... added in order,
+    and the lanes join as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)).  In the
+    all-``other`` leaf every lane holds the same running sum r, so the leaf
+    sums to 8r exactly.  In the target's leaf only lane ``slot % 8`` differs,
+    with ``tau`` entering it at row ``slot // 8``; float addition commutes, so
+    wherever that lane sits the leaf is ((lane + r) + 2r) + 4r.  Each level
     up joins an all-``other`` sibling, exactly 2^k times the leaf since
     doubling is exact.  For N <= 128 the leaf is the whole vector.
-    ``TestTwoValueKernel`` in ``tests/test_grover.py`` pins this against the
-    vector loop.
+
+    The order is numpy's, which makes it a dependency: the pair is defined
+    as the amplitudes of numpy's vector loop,
+    ``tests/oracles.py::vector_kernel_steps``, and ``TestTwoValueKernel`` in
+    ``tests/test_grover.py`` pins every lane and row of the leaf against it,
+    so a numpy that sums in another order fails there.  Python's ``sum`` is
+    not used: from Python 3.12 it compensates its rounding.
     """
-    leaves.fill(other)
-    leaves[1, slot] = tau
-    plain, total = np.add.reduce(leaves, axis=1).tolist()
-    size = leaves.shape[1]
-    while size < n_states:
+    leaf = min(n_states, 128)
+    if leaf < 8:
+        values = [other] * leaf
+        values[slot] = tau
+        return reduce(add, values, 0.0) / n_states
+    rows, row = leaf // 8, slot // 8
+    running = list(itertools.accumulate(itertools.repeat(other, rows)))
+    lane = running[row - 1] + tau if row else tau
+    lane = reduce(add, itertools.repeat(other, rows - row - 1), lane)
+    plain = running[-1]
+    total = ((lane + plain) + 2.0 * plain) + 4.0 * plain
+    plain *= 8.0
+    while leaf < n_states:
         total += plain
         plain += plain
-        size *= 2
+        leaf *= 2
     return total / n_states
 
 
@@ -140,16 +160,16 @@ def kernel_steps(inst: GroverInstance) -> Iterator[tuple[float, float]]:
     ``tau`` is the target amplitude and ``other`` every other one.  A step
     flips the target's sign and reflects every amplitude about the mean:
     other -> 2m - other and -tau -> 2m + tau, with the mean m taken by
-    ``_mean`` exactly as numpy takes it over the 2^n vector.  So the pair is
-    bit for bit the vector loop's amplitudes, at O(n) per step.
+    ``_mean`` in numpy's summation order over the 2^n vector.  So the pair is
+    bit for bit the numpy vector loop's amplitudes
+    (``tests/oracles.py::vector_kernel_steps``), at O(n) per step.
     """
     n_states = inst.n_states
-    leaves = np.empty((2, min(n_states, 128)))
-    slot = (inst.target - 1) % leaves.shape[1]
+    slot = (inst.target - 1) % 128
     other = tau = 1.0 / math.sqrt(n_states)
     while True:
         yield other, tau
-        two_mean = 2.0 * _mean(n_states, leaves, slot, other, -tau)
+        two_mean = 2.0 * _mean(n_states, slot, other, -tau)
         other, tau = two_mean - other, two_mean + tau
 
 

@@ -9,8 +9,6 @@ other labels, without building the 2^n vector.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .grover import GroverInstance, pair_norm2
 
 
@@ -30,6 +28,9 @@ def sample_measurement(
     accepted keeps p <= 1 for a pair just above unit norm.  Only observed
     labels appear; histograms are reproducible per (seed, shots) pair.
     """
+    # imported here: commands that do not sample start without numpy
+    import numpy as np
+
     inst, other, tau = state
     if shots < 1:
         raise ValueError("shots must be at least 1")

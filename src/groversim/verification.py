@@ -329,20 +329,26 @@ def _check_periodicity(cfg: VerificationConfig, seed: int) -> tuple[float, dict]
     return worst, {"samples": 1000}
 
 
-def _monotonic(steps: Callable[[GroverAngles], range], sign: float) -> Callable:
-    """Check body: the worst margin ``sign * (p(t+1) - p(t))`` over ``steps``, negated."""
+def _monotonic(steps: Callable[[GroverAngles], range], sign: float, n_least: int) -> Callable:
+    """Check body: the worst margin ``sign * (p(t+1) - p(t))`` over ``steps``, negated.
+
+    n runs over 2..max(n_max, n_least), where ``n_least`` is the smallest n
+    whose ``steps`` hold a t: a smaller ``n_max`` would leave the grid
+    without an instance, and the check could not fail.
+    """
 
     def check(cfg: VerificationConfig, seed: int) -> tuple[float, dict]:
         # a margin is a difference of probabilities, at most 1: the start
-        # -1.0 is only the worst residual of an empty grid
+        # -1.0 is below every residual
         worst, instances = -1.0, 0
-        for n in range(2, cfg.n_max + 1):
+        n_values = list(range(2, max(cfg.n_max, n_least) + 1))
+        for n in n_values:
             ang = grover_angles(1 << n)
             for t in steps(ang):
                 margin = sign * (success_probability(ang, t + 1) - success_probability(ang, t))
                 worst = _worse(worst, -margin)
                 instances += 1
-        return worst, {"n_values": list(range(2, cfg.n_max + 1)), "instances": instances}
+        return worst, {"n_values": n_values, "instances": instances}
 
     return check
 
@@ -449,14 +455,14 @@ _SPECS = [
         "Success probability strictly increases before the optimum",
         "0 < t and t+1 <= pi/(4 th) - 1/2 => p(t) < p(t+1)",
         0.0,
-        _monotonic(monotonic_increase_range, 1.0),
+        _monotonic(monotonic_increase_range, 1.0, 4),  # N = 16, t = 1
     ),
     CheckSpec(
         "T3.3",
         "Success probability strictly decreases after the optimum",
         "pi/(4 th) - 1/2 <= t <= pi/(2 th) - 3/2 => p(t) > p(t+1)",
         0.0,
-        _monotonic(monotonic_decrease_range, -1.0),
+        _monotonic(monotonic_decrease_range, -1.0, 2),  # N = 4, t = 1
     ),
     CheckSpec(
         "T3.4",

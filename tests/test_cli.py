@@ -455,11 +455,11 @@ _MASKED_VALUES = re.compile(r'("(?:elapsed_ms|worst_residual)": )[^,\n]+')
     [
         (
             VERIFY_N3, 0, "13/13 checks passed\n",
-            "0409dc88346a3abc6a50a27867d1bd8989d0e3d616541c62b970167f94165cdf",
+            "3e7ad83008dfdf15fc1c3a093bf00ea71e0d0596b7afb0feab93545603c6580b",
         ),
         (
             VERIFY_N3 + ["--inject-fault"], 2, "11/13 checks passed\nfailed: T1.4, T2.3\n",
-            "55e3ea76941b4f53f8f1c922ba6672ff9d37247400251e5bb52b399d6f83009c",
+            "6cdc0f2917e58a210d2ee1698e9ffece966faeeb8c13b0d3b2a1fcf2ee5c6423",
         ),
         (
             ["verify"], 0, "13/13 checks passed\n",

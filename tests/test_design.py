@@ -134,3 +134,28 @@ def test_qstate_is_built_only_inside_adopt_qstate():
             if getattr(func, "id", None) == "QState" or getattr(func, "attr", None) == "QState":
                 builders.add(scope)
     assert builders == {"linalg.adopt_qstate"}
+
+
+def _run_at_import(node):
+    # every node Python runs when the module loads: all but function bodies
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_at_import(child)
+
+
+def test_only_the_dense_modules_import_numpy_at_module_level():
+    # the other modules import it inside the function that uses it, so the
+    # commands that hold no vector start without numpy
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in _run_at_import(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [(node.module or "").partition(".")[0]]
+            else:
+                continue
+            if "numpy" in roots:
+                importers.add(path.stem)
+    assert importers == {"linalg", "verification"}

@@ -272,7 +272,7 @@ class TestSimulationPaths:
 
     def test_kernel_holds_one_vector(self):
         # the generator steps two floats, not even one 2^n vector: the peak
-        # is the 128-element leaf of _mean and a little more
+        # is the 16 running sums of _mean and a little more
         inst = GroverInstance(18, 3)
         tracemalloc.start()
         try:
@@ -329,10 +329,12 @@ class TestTwoValueKernel:
         inst = GroverInstance(n, data.draw(st.integers(min_value=1, max_value=1 << n)))
         self.assert_every_step_matches(inst, max_t_in_period(grover_angles(inst.n_states)))
 
-    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
     def test_targets_at_the_summation_leaf_boundary(self, n):
-        # numpy's pairwise sum has 128-element leaves: n=7 is one leaf, n=8 two
-        for target in sorted({1, 128, 129, 1 << n} & set(range(1, (1 << n) + 1))):
+        # numpy's pairwise sum has 128-element leaves of 8 lanes: n=7 is one
+        # leaf, n=8 two, so every target puts tau in each lane and row of
+        # both; n=1, 2 add a leaf in order, and n=3 has a single row
+        for target in range(1, (1 << n) + 1):
             inst = GroverInstance(n, target)
             self.assert_every_step_matches(inst, max_t_in_period(grover_angles(inst.n_states)))
 

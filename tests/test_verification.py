@@ -124,6 +124,17 @@ def test_a_fault_fails_exactly_its_checks(monkeypatch, name, fault, failing):
             assert "error" in row.params
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_monotonicity_checks_have_an_instance_on_the_smallest_grids(monkeypatch, n_max):
+    # N = 4 and N = 8 have no t before the optimum: T3.2 once ran over n in
+    # 2..n_max with no instance, and passed whatever success_probability said
+    cfg = VerificationConfig(n_max=n_max, t_max=6, seed=7)
+    assert run_check("T3.2", cfg).params["instances"] == 1
+    assert run_check("T3.3", cfg).params["instances"] >= 1
+    monkeypatch.setattr(verification, "success_probability", lambda angles, t: 0.5)
+    assert run_all(cfg).failed_ids() == ["T3.2", "T3.3"]
+
+
 def test_run_all_passes_on_small_grid():
     report = run_all(SMALL)
     assert len(report.results) == 13
@@ -218,14 +229,19 @@ def test_a_check_that_raises_becomes_its_error_row_inside_the_pool(monkeypatch):
     assert others == [row for row in expected if row["id"] != "T2.2"]
 
 
-def _loaded_by_import(modules: str, names: list[str]) -> str:
-    """Those of ``names`` that ``import <modules>`` loads in a fresh interpreter, as printed."""
+def _loaded_by(code: str, names: list[str]) -> str:
+    """Those of ``names`` that running ``code`` loads in a fresh interpreter, as printed."""
     src = str(Path(groversim.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = f"import sys, {modules}; print([name for name in {names!r} if name in sys.modules])"
+    script = f"import sys; {code}; print([name for name in {names!r} if name in sys.modules])"
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.strip()
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()[-1]
+
+
+def _loaded_by_import(modules: str, names: list[str]) -> str:
+    """Those of ``names`` that ``import <modules>`` loads in a fresh interpreter, as printed."""
+    return _loaded_by(f"import {modules}", names)
 
 
 def test_importing_the_cli_does_not_import_the_thread_pool():
@@ -245,6 +261,21 @@ def test_simulation_and_factoring_do_not_import_the_dense_stack():
     ]
     assert "groversim.states" in others
     assert _loaded_by_import("groversim.grover", others) == "[]"
+
+
+def test_commands_that_hold_no_vector_do_not_import_numpy():
+    # numpy costs more to import than these commands take to run
+    assert _loaded_by_import("groversim.grover", ["numpy"]) == "[]"
+    assert _loaded_by_import("groversim.cli", ["numpy"]) == "[]"
+    for argv in (
+        ["simulate", "--n", "20", "--target", "1", "--t", "804"],
+        ["curve", "--n", "6", "--target", "3"],
+        ["optimal", "--n", "20"],
+    ):
+        assert _loaded_by(f"from groversim import cli; cli.main({argv!r})", ["numpy"]) == "[]"
+    # the same probe sees the import where a command samples
+    factor = ["factor", "--m", "143"]
+    assert _loaded_by(f"from groversim import cli; cli.main({factor!r})", ["numpy"]) == "['numpy']"
 
 
 def test_config_bounds():
